@@ -1,7 +1,8 @@
 # multiscatter — build/verify entry points.
 #
-#   make check          build + vet + race-enabled tests + replay-diff + bench-compare
+#   make check          build + vet + race-enabled tests + msperf-test + replay-diff + bench-compare
 #   make test           plain test run (what CI tier-1 executes)
+#   make msperf-test    tests of the benchmark module (cmd/msperf, its own go.mod)
 #   make replay-diff    golden-trace determinism gate (serial vs parallel fleet)
 #   make bench          fleet benchmarks at workers=1 and workers=NumCPU
 #   make bench-compare  msbench metrics vs committed BENCH_<date>.json baseline
@@ -16,7 +17,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check replay-diff bench bench-compare profile obs-demo trace-demo serve-demo serve-smoke fig15-demo fig16-demo docs-check
+.PHONY: all build vet test race msperf-test check replay-diff bench bench-compare profile obs-demo trace-demo serve-demo serve-smoke fig15-demo fig16-demo docs-check
 
 all: check
 
@@ -32,6 +33,10 @@ test:
 race:
 	$(GO) test -race ./...
 
+# cmd/msperf is a nested module, so the root ./... pattern skips it.
+msperf-test:
+	cd cmd/msperf && $(GO) test ./...
+
 # Replays the canonical shadowing-enabled deployment and diffs it against
 # the committed golden trace (internal/replay/testdata). Fails on any
 # drift, including serial-vs-parallel divergence. Regenerate deliberately
@@ -39,7 +44,7 @@ race:
 replay-diff:
 	$(GO) test -run TestGoldenTrace -count=1 ./internal/replay
 
-check: build vet race replay-diff bench-compare
+check: build vet race msperf-test replay-diff bench-compare
 
 bench:
 	$(GO) test -run - -bench 'BenchmarkFleet' -benchtime 1x -benchmem ./

@@ -1,7 +1,9 @@
-// Command mssim runs a discrete-event multiscatter deployment: excitation
-// sources with configurable rates and duty cycles, an optionally
-// energy-harvesting tag, and a receiver at a configurable distance. It
-// prints per-protocol outcome accounting and a tag-throughput timeline.
+// Command mssim runs a one-tag multiscatter deployment on the fleet
+// engine: excitation sources with configurable rates and duty cycles, an
+// optionally energy-harvesting tag, and one receiver at a configurable
+// distance. It prints per-protocol outcome accounting and a
+// tag-throughput timeline; -journal writes the run's fleet replay
+// journal.
 //
 // Usage:
 //
@@ -22,6 +24,7 @@ import (
 	"multiscatter/internal/channel"
 	"multiscatter/internal/clilog"
 	"multiscatter/internal/excite"
+	"multiscatter/internal/fleet"
 	"multiscatter/internal/obs/obsflag"
 	"multiscatter/internal/obs/ptrace/traceflag"
 	"multiscatter/internal/radio"
@@ -78,19 +81,10 @@ func main() {
 		add(excite.NewZigBeeSource(), *zigRate)
 	}
 
-	cfg := sim.Config{
-		Sources:           sources,
-		ReceiverDistanceM: *distance,
-		Span:              *span,
-		Seed:              *seed,
-	}
-	if *shadow > 0 {
-		ch := channel.NewLoS()
-		ch.ShadowSigmaDB = *shadow
-		cfg.Channel = ch
-	}
+	// One tag at (-distance, 0) reporting to one receiver at the origin.
+	tag := fleet.TagSpec{X: -*distance}
 	if *lux > 0 {
-		cfg.Energy = &sim.EnergyConfig{Lux: *lux, StartCharged: true}
+		tag.Energy = &sim.EnergyConfig{Lux: *lux, StartCharged: true}
 	}
 	if *single != "" {
 		p, err := parseProtocol(*single)
@@ -98,7 +92,19 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mssim:", err)
 			os.Exit(2)
 		}
-		cfg.Tag.Supported = []radio.Protocol{p}
+		tag.Supported = []radio.Protocol{p}
+	}
+	cfg := fleet.Config{
+		Sources:   sources,
+		Tags:      []fleet.TagSpec{tag},
+		Receivers: []fleet.ReceiverSpec{{}},
+		Span:      *span,
+		Seed:      *seed,
+	}
+	if *shadow > 0 {
+		ch := channel.NewLoS()
+		ch.ShadowSigmaDB = *shadow
+		cfg.Channel = ch
 	}
 
 	rec := traceflag.Recorder("mssim")
@@ -108,36 +114,42 @@ func main() {
 		"distance_m", *distance, "lux", *lux, "trace", traceflag.Enabled())
 
 	t0 := time.Now()
-	res, err := sim.Run(cfg)
+	res, err := fleet.Run(cfg)
 	if err != nil {
 		lg.Error("run failed", "err", err)
 		os.Exit(1)
 	}
 	traceflag.Finish("mssim", rec)
+	tr := res.Tags[0]
 	lg.Debug("run complete",
 		"seed", *seed, "wall", time.Since(t0).Round(time.Millisecond),
-		"tag_kbps", res.TagKbps, "energy_rounds", res.EnergyRounds)
+		"tag_kbps", tr.TagKbps, "energy_rounds", tr.EnergyRounds)
 
 	fmt.Printf("deployment: %v span, receiver at %.1f m", *span, *distance)
 	if *lux > 0 {
-		fmt.Printf(", %g lux harvesting (%d rounds)", *lux, res.EnergyRounds)
+		fmt.Printf(", %g lux harvesting (%d rounds)", *lux, tr.EnergyRounds)
 	}
 	fmt.Println()
 	fmt.Printf("%-10s %8s %10s %9s %9s %8s %8s %11s\n",
 		"protocol", "packets", "delivered", "collided", "misident", "asleep", "unsupp", "tag bits")
-	for _, p := range radio.Protocols {
-		s := res.PerProtocol[p]
-		if s == nil || s.Packets == 0 {
+	for _, pt := range res.PerProtocol {
+		if pt.Packets == 0 {
 			continue
 		}
-		fmt.Printf("%-10v %8d %10d %9d %9d %8d %8d %11d\n",
-			p, s.Packets,
-			s.Outcomes[sim.Delivered], s.Outcomes[sim.Collided],
-			s.Outcomes[sim.Misidentified], s.Outcomes[sim.TagAsleep],
-			s.Outcomes[sim.Unsupported], s.TagBits)
+		o := tr.PerProtocol[pt.Name]
+		fmt.Printf("%-10s %8d %10d %9d %9d %8d %8d %11d\n",
+			pt.Name, pt.Packets,
+			o[sim.Delivered], o[sim.Collided],
+			o[sim.Misidentified], o[sim.TagAsleep],
+			o[sim.Unsupported], pt.TagBits)
+	}
+	// Busy: the share of packets met awake that the tag delivered.
+	busy := 0.0
+	if awake := res.Events - tr.Outcomes[sim.TagAsleep]; awake > 0 {
+		busy = float64(tr.Outcomes[sim.Delivered]+tr.Outcomes[sim.DecodedConcurrent]) / float64(awake)
 	}
 	fmt.Printf("\ntag throughput: %.1f kbps (busy %.0f%% of awake packets)\n",
-		res.TagKbps, res.BusyFraction*100)
+		tr.TagKbps, busy*100)
 
 	// Throughput timeline as a sparkline-style bar chart.
 	maxKbps := 0.0
@@ -157,7 +169,7 @@ func main() {
 		fmt.Printf("  |%s|\n", sb.String())
 	}
 
-	j := replay.FromSim(*seed, res)
+	j := replay.FromFleet(*seed, res)
 	if *journal != "" {
 		if err := j.WriteFile(*journal); err != nil {
 			fmt.Fprintln(os.Stderr, "mssim:", err)

@@ -3,7 +3,8 @@
 // a day profile — bright outdoor light, office light, darkness — cycling
 // its 0.01 F storage capacitor between 4.1 V and 2.6 V. The example
 // prints each phase's delivery statistics and shows how the paper's
-// Table 4 exchange-time arithmetic emerges from the event simulation.
+// Table 4 exchange-time arithmetic emerges from the event simulation of
+// a one-tag deployment (the tag 2 m from its receiver).
 package main
 
 import (
@@ -13,7 +14,7 @@ import (
 
 	"multiscatter/internal/energy"
 	"multiscatter/internal/excite"
-	"multiscatter/internal/radio"
+	"multiscatter/internal/fleet"
 	"multiscatter/internal/sim"
 )
 
@@ -32,19 +33,23 @@ func main() {
 
 	fmt.Println("phase                  packets  delivered   asleep   tag kbps  rounds")
 	for i, ph := range phases {
-		res, err := sim.Run(sim.Config{
+		res, err := fleet.Run(fleet.Config{
 			Sources: []excite.Source{wifi},
-			Span:    15 * time.Second,
-			Seed:    int64(i + 1),
-			Energy:  &sim.EnergyConfig{Lux: ph.lux, StartCharged: true},
+			Tags: []fleet.TagSpec{{
+				X:      -2,
+				Energy: &sim.EnergyConfig{Lux: ph.lux, StartCharged: true},
+			}},
+			Receivers: []fleet.ReceiverSpec{{}},
+			Span:      15 * time.Second,
+			Seed:      int64(i + 1),
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		s := res.PerProtocol[radio.Protocol80211n]
+		tag := res.Tags[0]
 		fmt.Printf("%-22s %8d %10d %8d %10.2f %7d\n",
-			ph.name, s.Packets, s.Outcomes[sim.Delivered],
-			s.Outcomes[sim.TagAsleep], res.TagKbps, res.EnergyRounds)
+			ph.name, res.Events, tag.Outcomes[sim.Delivered],
+			tag.Outcomes[sim.TagAsleep], tag.TagKbps, tag.EnergyRounds)
 	}
 
 	// The static Table 4 arithmetic for comparison.

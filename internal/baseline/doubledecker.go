@@ -99,7 +99,7 @@ func DoubleDeckerSINRdB(cfg DoubleDeckerConfig) float64 {
 // DoubleDeckerLeakPenaltyDB returns the SNR cost of the residual direct
 // path alone — the dB gap between OriginalSNRdB and the
 // post-cancellation SINR at zero drift. Consumers that track drift
-// themselves (the fleet's phase-aware link cache) add this on top of
+// themselves (the fleet's phase-aware link table) add this on top of
 // their own tracking penalty without double-counting the drift term.
 func DoubleDeckerLeakPenaltyDB(cfg DoubleDeckerConfig) float64 {
 	cfg = cfg.withDefaults()

@@ -60,7 +60,7 @@ func (m Material) String() string {
 // Model is a log-distance path-loss channel. It holds no RNG state:
 // PathLossDB is the deterministic mean loss, and shadowing draws are made
 // explicitly through ShadowDB / ShadowedPathLossDB with a caller-supplied
-// RNG, so concurrent consumers (fleet shards, cache fills) can each hold
+// RNG, so concurrent consumers (fleet shards, link-table sites) can each hold
 // an independent, replayable stream instead of racing on shared state.
 type Model struct {
 	// RefLossDB is the path loss at 1 m. Free space at 2.4 GHz is

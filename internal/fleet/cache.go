@@ -1,13 +1,12 @@
 package fleet
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"multiscatter/internal/baseline"
 	"multiscatter/internal/channel"
 	"multiscatter/internal/core"
+	"multiscatter/internal/excite"
 	"multiscatter/internal/overlay"
 	"multiscatter/internal/radio"
 	"multiscatter/internal/sim"
@@ -24,7 +23,7 @@ type linkKey struct {
 	mode     overlay.Mode
 }
 
-// linkEntry is one cached working point.
+// linkEntry is one calibrated working point.
 type linkEntry struct {
 	// RSSIdBm of the backscattered signal at the receiver.
 	RSSIdBm float64
@@ -43,27 +42,15 @@ type linkEntry struct {
 	DriftHz  float64
 }
 
-// bitsKey caches sim.PacketBits per (protocol, on-air duration, mode);
-// excitation sources emit fixed-duration packets, so the key space stays
-// tiny while the per-packet division/kappa arithmetic is paid once.
-type bitsKey struct {
-	protocol radio.Protocol
-	duration time.Duration
-	mode     overlay.Mode
-}
-
-type bitsEntry struct {
-	productive int
-	tag        int
-}
-
-// CacheStats reports calibrated-link cache effectiveness, split by entry
-// kind so hit rates are meaningful per map: LinkLookups/LinkMisses count
-// working-point (RSSI/PER) traffic, BitsLookups/BitsMisses count
-// packet-capacity traffic. Entries and BitsEntries count distinct
-// working points materialized. Misses are lookups that had to fall back
-// to computing an entry under the write lock — zero when the prefill
-// covered every combination, as it does for static fleets.
+// CacheStats describes the run's calibrated-link table and the hot-path
+// traffic it absorbed. Entries counts distinct (protocol, bucket, mode)
+// working points; BitsEntries counts packet capacities, one per distinct
+// (protocol, packet duration) of the configured sources per overlay mode
+// in use. LinkLookups counts working-point reads: one per contention
+// response plus one per downlink decision. BitsLookups counts capacity
+// reads, one per delivered packet. The table is complete before the
+// parallel phases start, so both Misses fields are always zero; they
+// keep the result encoding stable.
 type CacheStats struct {
 	Entries     int   `json:"entries"`
 	BitsEntries int   `json:"bits_entries"`
@@ -73,53 +60,33 @@ type CacheStats struct {
 	BitsMisses  int64 `json:"bits_misses"`
 }
 
-// linkCache is the calibrated-link cache shared by every shard of one
-// fleet run. It is prefilled serially from the (static) tag placements
-// before the worker pool starts, after which the hot path is lock-free
-// reads; the mutex only guards the fallback fill for keys the prefill
-// did not anticipate. Shadowing draws come from a per-key RNG
-// (sim.SeedRNGAt over StreamFleetShadow), so an entry is a pure function
-// of (seed, key): prefill and fallback fills produce identical entries
-// regardless of fill order or which goroutine computes them.
-type linkCache struct {
+// linkTable builds the calibrated-link table of one fleet run. Every
+// entry is a pure function of (seed, key): shadowing draws come from a
+// per-key RNG (sim.SeedRNGAt over StreamFleetShadow), so the table does
+// not depend on build order. prefill resolves it into per-tag arrays
+// before the worker pool starts, and the parallel phases only read those.
+type linkTable struct {
 	bucketM float64
 	seed    int64
-	links   map[radio.Protocol]*core.Link
+	links   [protocolSlots]*core.Link
 	// phase enables the phase-aware complex channel (nil = magnitude
 	// only); dd applies the Double-decker single-receiver model (tag
 	// capacity scaling + self-interference penalty).
 	phase *PhaseConfig
 	dd    bool
-
-	mu      sync.RWMutex
-	entries map[linkKey]linkEntry
-	bits    map[bitsKey]bitsEntry
-
-	linkLookups atomic.Int64
-	linkMisses  atomic.Int64
-	bitsLookups atomic.Int64
-	bitsMisses  atomic.Int64
 }
 
-func newLinkCache(ch *channel.Model, bucketM float64, seed int64, phase *PhaseConfig, dd bool) *linkCache {
-	links := make(map[radio.Protocol]*core.Link, len(radio.Protocols))
+func newLinkTable(ch *channel.Model, bucketM float64, seed int64, phase *PhaseConfig, dd bool) *linkTable {
+	c := &linkTable{bucketM: bucketM, seed: seed, phase: phase, dd: dd}
 	for _, p := range radio.Protocols {
-		links[p] = core.NewLink(p, ch)
+		c.links[p] = core.NewLink(p, ch)
 	}
-	return &linkCache{
-		bucketM: bucketM,
-		seed:    seed,
-		links:   links,
-		phase:   phase,
-		dd:      dd,
-		entries: map[linkKey]linkEntry{},
-		bits:    map[bitsKey]bitsEntry{},
-	}
+	return c
 }
 
-// bucketOf quantizes a distance to the cache resolution. Bucket 0 covers
+// bucketOf quantizes a distance to the table resolution. Bucket 0 covers
 // tags co-located with their receiver (d < bucketM/2).
-func (c *linkCache) bucketOf(d float64) int {
+func (c *linkTable) bucketOf(d float64) int {
 	b := int(d/c.bucketM + 0.5)
 	if b < 0 {
 		b = 0
@@ -131,7 +98,7 @@ func (c *linkCache) bucketOf(d float64) int {
 // 0.1 m to match Model.PathLossDB's near-field clamp — so bucket 0 is
 // evaluated at the clamp distance instead of overstating path loss at a
 // full bucket width.
-func (c *linkCache) distanceOf(bucket int) float64 {
+func (c *linkTable) distanceOf(bucket int) float64 {
 	d := float64(bucket) * c.bucketM
 	if d < 0.1 {
 		d = 0.1
@@ -145,7 +112,7 @@ func (k linkKey) site() uint64 {
 	return uint64(k.bucket)<<16 | uint64(k.mode)<<8 | uint64(k.protocol)
 }
 
-func (c *linkCache) compute(k linkKey) linkEntry {
+func (c *linkTable) compute(k linkKey) linkEntry {
 	l := c.links[k.protocol]
 	d := c.distanceOf(k.bucket)
 	shadow := l.ShadowDB(sim.SeedRNGAt(c.seed, sim.StreamFleetShadow, k.site()))
@@ -184,127 +151,51 @@ func (c *linkCache) compute(k linkKey) linkEntry {
 // tag-bit count: each tag bit spans DoubleDeckerSpread γ-groups and a
 // DoubleDeckerPilotFraction of groups carries pilots instead of data.
 // Identity on non-Double-decker runs.
-func (c *linkCache) scaleTagBits(tag int) int {
+func (c *linkTable) scaleTagBits(tag int) int {
 	if !c.dd {
 		return tag
 	}
 	return int(float64(tag) * (1 - baseline.DoubleDeckerPilotFraction) / baseline.DoubleDeckerSpread)
 }
 
-// fill materializes the entry for (p, bucket, mode); called serially
-// during prefill.
-func (c *linkCache) fill(p radio.Protocol, bucket int, mode overlay.Mode) {
-	k := linkKey{p, bucket, mode}
-	if _, ok := c.entries[k]; !ok {
-		c.entries[k] = c.compute(k)
+// prefill resolves the table into the tags: each distinct working point
+// is computed once and copied into every tag that uses it
+// (tagRun.linked), and each overlay mode in use gets one tag-bit
+// capacity per excitation source, shared by the tags of that mode
+// (tagRun.bits, indexed by excite.Event.Source — every event of a source
+// lasts the source's PacketDuration). It returns the table shape; reduce
+// adds the lookup traffic.
+func (c *linkTable) prefill(tags []*tagRun, sources []excite.Source) CacheStats {
+	entries := map[linkKey]linkEntry{}
+	bitsByMode := map[overlay.Mode][]int{}
+	for _, t := range tags {
+		for _, p := range radio.Protocols {
+			k := linkKey{p, t.bucket, t.mode}
+			e, ok := entries[k]
+			if !ok {
+				e = c.compute(k)
+				entries[k] = e
+			}
+			t.linked[p] = e
+		}
+		bits, ok := bitsByMode[t.mode]
+		if !ok {
+			bits = make([]int, len(sources))
+			for i, s := range sources {
+				_, tag := sim.PacketBits(s.Protocol, s.PacketDuration, t.mode)
+				bits[i] = c.scaleTagBits(tag)
+			}
+			bitsByMode[t.mode] = bits
+		}
+		t.bits = bits
 	}
-}
-
-// fillBits materializes the packet-capacity entry for (p, dur, mode).
-func (c *linkCache) fillBits(p radio.Protocol, dur time.Duration, mode overlay.Mode) {
-	k := bitsKey{p, dur, mode}
-	if _, ok := c.bits[k]; !ok {
-		prod, tag := sim.PacketBits(p, dur, mode)
-		c.bits[k] = bitsEntry{productive: prod, tag: c.scaleTagBits(tag)}
+	type shape struct {
+		protocol radio.Protocol
+		duration time.Duration
 	}
-}
-
-// link returns the cached working point, computing it under the write
-// lock on a prefill miss.
-func (c *linkCache) link(p radio.Protocol, bucket int, mode overlay.Mode) linkEntry {
-	c.linkLookups.Add(1)
-	k := linkKey{p, bucket, mode}
-	c.mu.RLock()
-	e, ok := c.entries[k]
-	c.mu.RUnlock()
-	if ok {
-		return e
+	shapes := map[shape]bool{}
+	for _, s := range sources {
+		shapes[shape{s.Protocol, s.PacketDuration}] = true
 	}
-	c.linkMisses.Add(1)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok = c.entries[k]; ok {
-		return e
-	}
-	e = c.compute(k)
-	c.entries[k] = e
-	return e
-}
-
-// peek returns the working point for (p, bucket, mode) without touching
-// the effectiveness counters — used for report generation after the run,
-// so the reported hit rate reflects hot-path traffic only. An uncached
-// key is computed on the fly (deterministically, from the per-key shadow
-// stream) and not stored.
-func (c *linkCache) peek(p radio.Protocol, bucket int, mode overlay.Mode) linkEntry {
-	k := linkKey{p, bucket, mode}
-	c.mu.RLock()
-	e, ok := c.entries[k]
-	c.mu.RUnlock()
-	if ok {
-		return e
-	}
-	return c.compute(k)
-}
-
-// peekBits returns the packet-capacity entry for (p, dur, mode) without
-// touching the effectiveness counters — used to resolve per-tag capacity
-// tables after prefill. An uncached key is computed on the fly and not
-// stored.
-func (c *linkCache) peekBits(p radio.Protocol, dur time.Duration, mode overlay.Mode) (int, int) {
-	k := bitsKey{p, dur, mode}
-	c.mu.RLock()
-	e, ok := c.bits[k]
-	c.mu.RUnlock()
-	if ok {
-		return e.productive, e.tag
-	}
-	prod, tag := sim.PacketBits(p, dur, mode)
-	return prod, c.scaleTagBits(tag)
-}
-
-// packetBits returns the cached overlay capacity of one packet.
-func (c *linkCache) packetBits(p radio.Protocol, dur time.Duration, mode overlay.Mode) (int, int) {
-	c.bitsLookups.Add(1)
-	k := bitsKey{p, dur, mode}
-	c.mu.RLock()
-	e, ok := c.bits[k]
-	c.mu.RUnlock()
-	if ok {
-		return e.productive, e.tag
-	}
-	c.bitsMisses.Add(1)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok = c.bits[k]; ok {
-		return e.productive, e.tag
-	}
-	prod, tag := sim.PacketBits(p, dur, mode)
-	tag = c.scaleTagBits(tag)
-	c.bits[k] = bitsEntry{productive: prod, tag: tag}
-	return prod, tag
-}
-
-// addLookups folds externally tallied hot-path traffic into the
-// effectiveness counters. The fleet phases read per-tag resolved entries
-// (no shared-map traffic at all) and tally locally; folding the tallies
-// here keeps CacheStats — and the fleet.cache.* metrics derived from it —
-// identical to the per-lookup atomic counting it replaces.
-func (c *linkCache) addLookups(link, bits int64) {
-	c.linkLookups.Add(link)
-	c.bitsLookups.Add(bits)
-}
-
-// stats snapshots the cache counters.
-func (c *linkCache) stats() CacheStats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return CacheStats{
-		Entries:     len(c.entries),
-		BitsEntries: len(c.bits),
-		LinkLookups: c.linkLookups.Load(),
-		LinkMisses:  c.linkMisses.Load(),
-		BitsLookups: c.bitsLookups.Load(),
-		BitsMisses:  c.bitsMisses.Load(),
-	}
+	return CacheStats{Entries: len(entries), BitsEntries: len(shapes) * len(bitsByMode)}
 }

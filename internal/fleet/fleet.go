@@ -1,17 +1,19 @@
-// Package fleet scales the single-tag deployment simulator of
-// internal/sim to production-shaped workloads: N backscatter tags placed
-// on a floor-plan grid, M excitation sources feeding one shared packet
-// timeline, and K receivers, executed as one deployment. Work is sharded
-// over a GOMAXPROCS-sized worker pool with deterministic parallel RNG:
-// per-shard streams for identification and downlink draws (seed =
-// Config.Seed + shardID), per-site streams for channel shadowing (keyed
-// by cache entry) and harvest jitter (keyed by tag ID) — so a fleet run,
-// shadowing included, reproduces byte-for-byte regardless of scheduling
-// or GOMAXPROCS. Cross-tag
-// collision accounting models the interference of two tags backscattering
-// the same excitation packet at the same receiver, resolved by a capture
-// margin; a calibrated-link cache keyed by (protocol, distance bucket,
-// mode) keeps the per-packet hot path free of repeated RSSI/BER/PER
+// Package fleet is the deployment simulation engine: N backscatter tags
+// placed on a floor plan (one tag is just N = 1), M excitation sources
+// feeding one shared packet timeline, and K receivers, executed as one
+// deployment. Every tag walks the same chain — harvest, identify,
+// supported set, contention, downlink — over the outcome and RNG
+// vocabulary of internal/sim. Work is sharded over a GOMAXPROCS-sized
+// worker pool with deterministic parallel RNG: per-shard streams for
+// identification and downlink draws (seed = Config.Seed + shardID),
+// per-site streams for channel shadowing (keyed by link-table entry) and
+// harvest jitter (keyed by tag ID) — so a fleet run, shadowing included,
+// reproduces byte-for-byte regardless of scheduling or GOMAXPROCS.
+// Cross-tag collision accounting models the interference of two tags
+// backscattering the same excitation packet at the same receiver,
+// resolved by a capture margin; a calibrated-link table keyed by
+// (protocol, distance bucket, mode), built once before the parallel
+// phases, keeps the per-packet hot path free of repeated RSSI/BER/PER
 // computation.
 package fleet
 
@@ -95,7 +97,7 @@ type Config struct {
 	// sim.SeedRNG(Seed, StreamFleetTimeline); shard s draws from
 	// sim.SeedRNG(Seed+s, StreamFleetShard/StreamFleetDownlink);
 	// link shadowing draws from sim.SeedRNGAt(Seed, StreamFleetShadow,
-	// cacheKey) and harvest jitter from sim.SeedRNGAt(Seed,
+	// linkKey) and harvest jitter from sim.SeedRNGAt(Seed,
 	// StreamEnergyHarvest, tagID).
 	Seed int64
 	// Workers sizes the worker pool (default runtime.GOMAXPROCS(0)).
@@ -134,12 +136,12 @@ type Config struct {
 	// ofdm.MaxSubcarrierGroups (4); negative disables joint decoding.
 	// Non-OFDM protocols always use capture arbitration.
 	ConcurrentOFDM int
-	// DistanceBucketM is the calibrated-link cache resolution in metres
+	// DistanceBucketM is the calibrated-link table resolution in metres
 	// (default 0.25).
 	DistanceBucketM float64
 	// Phase, when non-nil, enables the phase-aware complex channel: each
-	// cached link additionally draws a channel.PhaseDrift from
-	// sim.SeedRNGAt(Seed, StreamChannelPhase, cacheKey), and the
+	// link-table entry additionally draws a channel.PhaseDrift from
+	// sim.SeedRNGAt(Seed, StreamChannelPhase, linkKey), and the
 	// coherent receiver's drift-tracking penalty (minus its combining
 	// gain) is folded into the link's PER working point. RSSI and range
 	// stay on the magnitude surface, and a nil Phase leaves every number
@@ -274,14 +276,6 @@ func (c *contention) add(tag int32, rssi float64) {
 	}
 }
 
-// durBits is one resolved packet-capacity row: the overlay bit counts of
-// a packet of the given on-air duration.
-type durBits struct {
-	dur        time.Duration
-	productive int
-	tag        int
-}
-
 // tagRun is the per-tag working state and partial result.
 type tagRun struct {
 	spec      TagSpec
@@ -293,17 +287,12 @@ type tagRun struct {
 	supported [protocolSlots]bool
 	accuracy  [protocolSlots]float64
 
-	// linked holds the tag's calibrated working point per protocol,
-	// resolved once after the cache prefill: the parallel phases index
-	// this array instead of hashing cache keys behind a lock. bitsTab
-	// points at the tag mode's packet-capacity table, shared across tags.
-	linked  [protocolSlots]linkEntry
-	bitsTab *[protocolSlots][]durBits
-	// linkLookups/bitsLookups tally the hot-path cache traffic the
-	// resolved entries absorbed; folded into the cache counters before
-	// the reduce so CacheStats is unchanged by the optimization.
-	linkLookups int64
-	bitsLookups int64
+	// linked holds the tag's calibrated working point per protocol and
+	// bits the tag-bit capacity of one packet per excitation source
+	// (shared by every tag of the same mode), both written by prefill
+	// and only read by the parallel phases.
+	linked [protocolSlots]linkEntry
+	bits   []int
 
 	// responses lists the timeline indices this tag backscattered
 	// (awake, clean, identified, supported).
@@ -461,17 +450,15 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	bucketDur := time.Duration(cfg.BucketMS) * time.Millisecond
 	numBuckets := int(cfg.Span/bucketDur) + 1
 
-	// Per-tag state: receiver assignment, link-cache bucket, profile.
-	cache := newLinkCache(cfg.Channel, cfg.DistanceBucketM, cfg.Seed,
+	// Per-tag state: receiver assignment, link-table bucket, profile.
+	table := newLinkTable(cfg.Channel, cfg.DistanceBucketM, cfg.Seed,
 		cfg.Phase, cfg.Baseline == BaselineDoubleDecker)
 	tags := make([]*tagRun, len(cfg.Tags))
-	modes := map[overlay.Mode]bool{}
 	for i, spec := range cfg.Tags {
 		t := &tagRun{spec: spec, id: i, mode: spec.Mode, buckets: make([]float64, numBuckets)}
 		if t.mode == 0 {
 			t.mode = overlay.Mode1
 		}
-		modes[t.mode] = true
 		t.rx = 0
 		best := math.Inf(1)
 		for ri, r := range receivers {
@@ -481,7 +468,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 		t.dist = best
-		t.bucket = cache.bucketOf(best)
+		t.bucket = table.bucketOf(best)
 		if len(spec.Supported) == 0 {
 			for _, p := range radio.Protocols {
 				t.supported[p] = true
@@ -501,54 +488,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		tags[i] = t
 	}
 
-	// Prefill the calibrated-link cache serially: tag placements are
-	// static, so every (protocol, bucket, mode) working point and every
-	// (protocol, duration, mode) packet capacity is known up front and
-	// the parallel phases run on lock-free reads.
+	// Build the calibrated-link table serially: tag placements and
+	// sources are static, so every working point and packet capacity is
+	// known up front and the parallel phases run on plain array reads.
 	tPrefill := time.Now()
-	for _, t := range tags {
-		for _, p := range radio.Protocols {
-			cache.fill(p, t.bucket, t.mode)
-		}
-	}
-	for _, s := range cfg.Sources {
-		for m := range modes {
-			cache.fillBits(s.Protocol, s.PacketDuration, m)
-		}
-	}
-
-	// Resolve the prefilled working points into per-tag arrays and the
-	// packet capacities into one table per mode: the parallel phases then
-	// run on plain array/slice reads with no map hashing, locking or
-	// atomics. peek/peekBits leave the effectiveness counters untouched;
-	// the phases tally their traffic per tag and fold it back before the
-	// reduce.
-	bitsTabs := make(map[overlay.Mode]*[protocolSlots][]durBits, len(modes))
-	for m := range modes {
-		tab := &[protocolSlots][]durBits{}
-		for _, s := range cfg.Sources {
-			p := s.Protocol
-			known := false
-			for _, db := range tab[p] {
-				if db.dur == s.PacketDuration {
-					known = true
-					break
-				}
-			}
-			if known {
-				continue
-			}
-			prod, tag := cache.peekBits(p, s.PacketDuration, m)
-			tab[p] = append(tab[p], durBits{dur: s.PacketDuration, productive: prod, tag: tag})
-		}
-		bitsTabs[m] = tab
-	}
-	for _, t := range tags {
-		for _, p := range radio.Protocols {
-			t.linked[p] = cache.peek(p, t.bucket, t.mode)
-		}
-		t.bitsTab = bitsTabs[t.mode]
-	}
+	stats := table.prefill(tags, cfg.Sources)
 	cfg.Obs.Stage("fleet.prefill").ObserveSince(tPrefill)
 
 	// Shard the fleet: a fixed partition (independent of Workers) so the
@@ -708,7 +652,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		cont[ri] = make([]contention, len(events))
 	}
 	for _, t := range tags {
-		t.linkLookups += int64(len(t.responses))
 		for _, ei := range t.responses {
 			p := events[ei].Protocol
 			cont[t.rx][ei].add(int32(t.id), t.linked[p].RSSIdBm)
@@ -768,7 +711,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 						t.trace1(tr, e, int(ei), ptrace.StageChannel, "clear")
 					}
 				}
-				t.linkLookups++
 				entry := t.linked[p]
 				if !entry.InRange {
 					t.counts[p][sim.LostDownlink]++
@@ -790,20 +732,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 					outcome = sim.DecodedConcurrent
 				}
 				t.counts[p][outcome]++
-				bits := -1
-				for _, db := range t.bitsTab[p] {
-					if db.dur == e.Duration {
-						t.bitsLookups++
-						bits = db.tag
-						break
-					}
-				}
-				if bits < 0 {
-					// Duration absent from the resolved table (a source
-					// shape the prefill did not anticipate): fall back to
-					// the shared cache, which counts its own traffic.
-					_, bits = cache.packetBits(p, e.Duration, t.mode)
-				}
+				bits := t.bits[e.Source]
 				t.tagBits[p] += bits
 				if b := int(e.Start / bucketDur); b < len(t.buckets) {
 					t.buckets[b] += float64(bits)
@@ -820,18 +749,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("fleet: run aborted: %w", err)
 	}
 
-	// Fold the per-tag cache-traffic tallies into the shared counters
-	// (serially, in tag-ID order) so CacheStats reports the same numbers
-	// the per-lookup counting used to.
-	var linkLookups, bitsLookups int64
-	for _, t := range tags {
-		linkLookups += t.linkLookups
-		bitsLookups += t.bitsLookups
-	}
-	cache.addLookups(linkLookups, bitsLookups)
-
 	tReduce := time.Now()
-	res, err := reduce(cfg, receivers, tags, len(events), exciteCollided, bucketDur, cache)
+	res, err := reduce(cfg, receivers, tags, len(events), exciteCollided, bucketDur, stats)
 	cfg.Obs.Stage("fleet.reduce").ObserveSince(tReduce)
 	if err == nil {
 		recordRun(cfg.Obs, res)

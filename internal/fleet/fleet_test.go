@@ -11,6 +11,7 @@ import (
 
 	"multiscatter/internal/channel"
 	"multiscatter/internal/excite"
+	"multiscatter/internal/obs"
 	"multiscatter/internal/radio"
 	"multiscatter/internal/sim"
 )
@@ -300,42 +301,43 @@ func TestLinkCachePrefilled(t *testing.T) {
 	}
 }
 
-func TestLinkCacheFallbackPath(t *testing.T) {
-	c := newLinkCache(channel.NewLoS(), 0.25, 1, nil, false)
-	e := c.link(radio.ProtocolBLE, c.bucketOf(2), 1) // cold key → computed under lock
-	if !e.InRange {
-		t.Fatal("BLE at 2 m should be in range")
-	}
-	if got := c.stats(); got.LinkMisses != 1 || got.Entries != 1 || got.LinkLookups != 1 {
-		t.Fatalf("cold lookup stats: %+v", got)
-	}
-	if again := c.link(radio.ProtocolBLE, c.bucketOf(2), 1); again != e {
-		t.Fatal("cached entry changed")
-	}
-	if got := c.stats(); got.LinkMisses != 1 || got.LinkLookups != 2 {
-		t.Fatalf("warm lookup stats: %+v", got)
-	}
-	// Link traffic must not leak into the bits counters and vice versa.
-	if got := c.stats(); got.BitsLookups != 0 || got.BitsMisses != 0 {
-		t.Fatalf("link traffic counted as bits traffic: %+v", got)
-	}
+func TestLinkTablePrefill(t *testing.T) {
+	c := newLinkTable(channel.NewLoS(), 0.25, 1, nil, false)
 	// Same bucket, same entry: 2.0 m and 2.1 m share a 0.25 m bucket.
 	if c.bucketOf(2.0) != c.bucketOf(2.1) {
 		t.Fatal("bucketing too fine")
 	}
-	if prod, tag := c.packetBits(radio.Protocol80211b, 2192*time.Microsecond, 1); prod != 250 || tag != 250 {
-		t.Fatalf("packetBits = %d/%d, want 250/250", prod, tag)
+	e := c.compute(linkKey{radio.ProtocolBLE, c.bucketOf(2), 1})
+	if !e.InRange {
+		t.Fatal("BLE at 2 m should be in range")
 	}
-	if got := c.stats(); got.BitsLookups != 1 || got.BitsMisses != 1 {
-		t.Fatalf("bits traffic not counted separately: %+v", got)
+	if again := c.compute(linkKey{radio.ProtocolBLE, c.bucketOf(2), 1}); again != e {
+		t.Fatal("compute is not a pure function of the key")
 	}
-	// peek reads the same entries without moving any counter.
-	before := c.stats()
-	if p := c.peek(radio.ProtocolBLE, c.bucketOf(2), 1); p != e {
-		t.Fatal("peek returned a different entry")
+
+	tags := []*tagRun{
+		{bucket: c.bucketOf(2.0), mode: 1},
+		{bucket: c.bucketOf(2.1), mode: 1},
+		{bucket: c.bucketOf(5), mode: 2},
 	}
-	if c.stats() != before {
-		t.Fatal("peek perturbed the stats")
+	b11 := excite.Source{Protocol: radio.Protocol80211b, PacketDuration: 2192 * time.Microsecond}
+	sources := []excite.Source{b11, wifiSource(100), b11}
+	stats := c.prefill(tags, sources)
+	// Two distinct (bucket, mode) pairs × four protocols; two distinct
+	// packet shapes × two modes.
+	if stats != (CacheStats{Entries: 8, BitsEntries: 4}) {
+		t.Fatalf("prefill shape = %+v", stats)
+	}
+	if tags[0].linked[radio.ProtocolBLE] != e || tags[1].linked != tags[0].linked {
+		t.Fatal("tags sharing a bucket must share the computed working points")
+	}
+	// An 802.11b packet of 2192 µs in mode 1 carries 250 tag bits; the
+	// capacity row is indexed by source and shared by every mode-1 tag.
+	if tags[0].bits[0] != 250 || tags[0].bits[2] != 250 {
+		t.Fatalf("mode-1 802.11b capacity = %v, want 250", tags[0].bits)
+	}
+	if &tags[0].bits[0] != &tags[1].bits[0] || &tags[0].bits[0] == &tags[2].bits[0] {
+		t.Fatal("capacity rows must be shared per mode")
 	}
 }
 
@@ -344,15 +346,15 @@ func TestLinkCacheZeroDistanceBucket(t *testing.T) {
 	// evaluated at the 0.1 m near-field clamp — not at a full bucket
 	// width (the old clamp-to-bucket-1 behaviour overstated path loss by
 	// 10·2·log10(0.25/0.1) ≈ 8 dB at the default resolution).
-	c := newLinkCache(channel.NewLoS(), 0.25, 1, nil, false)
+	c := newLinkTable(channel.NewLoS(), 0.25, 1, nil, false)
 	if b := c.bucketOf(0); b != 0 {
 		t.Fatalf("bucketOf(0) = %d, want 0", b)
 	}
 	if d := c.distanceOf(0); d != 0.1 {
 		t.Fatalf("distanceOf(0) = %v, want 0.1", d)
 	}
-	zero := c.link(radio.Protocol80211n, c.bucketOf(0), 1)
-	one := c.link(radio.Protocol80211n, 1, 1)
+	zero := c.compute(linkKey{radio.Protocol80211n, c.bucketOf(0), 1})
+	one := c.compute(linkKey{radio.Protocol80211n, 1, 1})
 	if !zero.InRange {
 		t.Fatal("co-located tag must be in range")
 	}
@@ -413,6 +415,135 @@ func TestSingleProtocolTags(t *testing.T) {
 	}
 	if res.Outcomes[sim.Unsupported] == 0 {
 		t.Fatal("unsupported packets not accounted")
+	}
+}
+
+// TestOneTagFleet pins the single-tag deployment behaviours (the mssim
+// and examples/harvest shape: one tag 2 m from one receiver) that the
+// multi-tag tests do not reach.
+func TestOneTagFleet(t *testing.T) {
+	oneTag := func(span time.Duration, seed int64, sources ...excite.Source) Config {
+		return Config{
+			Sources:   sources,
+			Tags:      []TagSpec{{X: -2}},
+			Receivers: []ReceiverSpec{{}},
+			Span:      span,
+			Seed:      seed,
+		}
+	}
+	frac := func(n, of int) float64 { return float64(n) / float64(of) }
+	// Alternating 50% duty-cycled 802.11b/802.11n carriers (Figure 18a):
+	// 802.11b is on during even 500 ms buckets, 802.11n during odd ones.
+	b11 := excite.Source{
+		Protocol:       radio.Protocol80211b,
+		PacketRate:     300,
+		PacketDuration: 2392 * time.Microsecond,
+		Period:         time.Second,
+		OnFraction:     0.5,
+	}
+	n11 := wifiSource(300)
+	n11.Period = time.Second
+	n11.OnFraction = 0.5
+	n11.PhaseOffset = 500 * time.Millisecond
+	diversity := oneTag(6*time.Second, 2, b11, n11)
+	singleN := oneTag(6*time.Second, 2, b11, n11)
+	singleN.Tags[0].Supported = []radio.Protocol{radio.Protocol80211n}
+	dutyN := wifiSource(300)
+	dutyN.Period = 2 * time.Second
+	dutyN.OnFraction = 0.5
+	duty := oneTag(4*time.Second, 5, dutyN)
+	duty.BucketMS = 250
+	indoor := oneTag(20*time.Second, 4, wifiSource(100))
+	indoor.Tags[0].Energy = &sim.EnergyConfig{Lux: 500}
+	outdoor := oneTag(20*time.Second, 4, wifiSource(100))
+	outdoor.Tags[0].Energy = &sim.EnergyConfig{Lux: 1.04e5, StartCharged: true}
+
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		check func(t *testing.T, res *Result)
+	}{
+		{"basic_delivery", oneTag(5*time.Second, 1, wifiSource(200)), func(t *testing.T, res *Result) {
+			// One source: no air collisions, ≈94% identification.
+			if res.Events < 800 || res.Events > 1200 {
+				t.Fatalf("events = %d, want ≈1000", res.Events)
+			}
+			if f := frac(res.Outcomes[sim.Delivered], res.Events); f < 0.85 || f > 0.99 {
+				t.Fatalf("delivered fraction = %v, want ≈0.94", f)
+			}
+			if res.Tags[0].TagKbps <= 0 || res.Tags[0].EnergyRounds != 0 {
+				t.Fatalf("always-powered tag: %+v", res.Tags[0])
+			}
+		}},
+		{"ble_collided", oneTag(3*time.Second, 3, wifiSource(2000), excite.NewBLEAdvSource()), func(t *testing.T, res *Result) {
+			// Dense 802.11n (≈80% duty) collides most BLE packets at the
+			// tag (Figure 16), while 802.11n itself stays mostly clean.
+			packets := func(c OutcomeCounts) (n int) {
+				for _, k := range c {
+					n += k
+				}
+				return n
+			}
+			ble := res.Tags[0].PerProtocol[radio.ProtocolBLE.String()]
+			if n := packets(ble); n == 0 || frac(ble[sim.Collided], n) < 0.4 {
+				t.Fatalf("BLE collided %d of %d, want ≥ 40%%", ble[sim.Collided], n)
+			}
+			wifi := res.Tags[0].PerProtocol[radio.Protocol80211n.String()]
+			if f := frac(wifi[sim.Collided], packets(wifi)); f > 0.1 {
+				t.Fatalf("802.11n collided fraction = %v, want small", f)
+			}
+		}},
+		{"duty_cycle_buckets", duty, func(t *testing.T, res *Result) {
+			// On window [0,1) s, off window [1,2) s.
+			if res.BucketDur != 250*time.Millisecond {
+				t.Fatalf("bucket duration %v", res.BucketDur)
+			}
+			if on, off := res.Buckets[1], res.Buckets[5]; !(on > 0) || off != 0 {
+				t.Fatalf("duty cycle not visible in buckets: on=%v off=%v", on, off)
+			}
+		}},
+		{"single_protocol_idles", singleN, func(t *testing.T, res *Result) {
+			c := res.Tags[0].PerProtocol[radio.Protocol80211b.String()]
+			if c[sim.Unsupported] == 0 || c[sim.Delivered] != 0 {
+				t.Fatalf("802.11n-only tag on 802.11b: %v", c)
+			}
+			for b := 0; b < 12; b++ {
+				if idle := res.Buckets[b] == 0; idle != (b%2 == 0) {
+					t.Fatalf("bucket %d = %v kbps: the tag must idle exactly while only 802.11b is on", b, res.Buckets[b])
+				}
+			}
+		}},
+		{"multi_protocol_uninterrupted", diversity, func(t *testing.T, res *Result) {
+			for b := 0; b < 12; b++ {
+				if res.Buckets[b] == 0 {
+					t.Fatalf("bucket %d idle: a multiprotocol tag rides both carriers", b)
+				}
+			}
+		}},
+		{"indoor_asleep", indoor, func(t *testing.T, res *Result) {
+			// At 500 lux one 0.18 s active burst costs a ≈216 s recharge.
+			if f := frac(res.Outcomes[sim.TagAsleep], res.Events); f < 0.95 {
+				t.Fatalf("asleep fraction = %v, want ≈1 indoors", f)
+			}
+		}},
+		{"outdoor_rounds", outdoor, func(t *testing.T, res *Result) {
+			served := res.Outcomes[sim.Delivered] + res.Outcomes[sim.Misidentified]
+			if f := frac(served, res.Events); f < 0.1 {
+				t.Fatalf("outdoor served fraction = %v, want substantial", f)
+			}
+			if res.Tags[0].EnergyRounds == 0 {
+				t.Fatal("outdoor run should cycle the harvester")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Obs = obs.NewRegistry()
+			res, err := Run(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.check(t, res)
+		})
 	}
 }
 

@@ -35,7 +35,7 @@ type TagResult struct {
 	Receiver  int     `json:"receiver"`
 	DistanceM float64 `json:"distance_m"`
 	// RSSIdBm is the per-protocol backscatter signal strength at the
-	// tag's receiver, shadowing included — the cached working point its
+	// tag's receiver, shadowing included — the calibrated working point its
 	// downlink outcomes were decided at. Keyed by protocol name.
 	RSSIdBm map[string]float64 `json:"rssi_dbm"`
 	// PhaseRad/DriftHz are the per-protocol complex-channel initial
@@ -99,7 +99,7 @@ type Result struct {
 	Fairness     float64 `json:"fairness"`
 	// Buckets is the fleet-throughput timeline (kbps per bucket).
 	Buckets []float64 `json:"buckets_kbps"`
-	// Cache reports calibrated-link cache effectiveness.
+	// Cache reports the calibrated-link table's size and read traffic.
 	Cache CacheStats `json:"cache"`
 	// PhaseAware records whether the run used the phase-aware complex
 	// channel; Baseline names the receiver decoding architecture when it
@@ -116,8 +116,10 @@ var outcomesOrder = []sim.Outcome{
 }
 
 // reduce folds per-tag partials into the Result, iterating tags in ID
-// order so floating-point accumulation is deterministic.
-func reduce(cfg Config, receivers []ReceiverSpec, tags []*tagRun, events, exciteCollided int, bucketDur time.Duration, cache *linkCache) (*Result, error) {
+// order so floating-point accumulation is deterministic. table is the
+// link-table shape from prefill; its lookup traffic is derived here from
+// the outcome totals.
+func reduce(cfg Config, receivers []ReceiverSpec, tags []*tagRun, events, exciteCollided int, bucketDur time.Duration, table CacheStats) (*Result, error) {
 	res := &Result{
 		Span:           cfg.Span,
 		BucketDur:      bucketDur,
@@ -150,13 +152,13 @@ func reduce(cfg Config, receivers []ReceiverSpec, tags []*tagRun, events, excite
 			EnergyRounds: t.energyRounds,
 		}
 		for _, p := range radio.Protocols {
-			tr.RSSIdBm[p.String()] = cache.peek(p, t.bucket, t.mode).RSSIdBm
+			tr.RSSIdBm[p.String()] = t.linked[p].RSSIdBm
 		}
 		if cfg.Phase != nil {
 			tr.PhaseRad = map[string]float64{}
 			tr.DriftHz = map[string]float64{}
 			for _, p := range radio.Protocols {
-				e := cache.peek(p, t.bucket, t.mode)
+				e := t.linked[p]
 				tr.PhaseRad[p.String()] = e.PhaseRad
 				tr.DriftHz[p.String()] = e.DriftHz
 			}
@@ -198,7 +200,14 @@ func reduce(cfg Config, receivers []ReceiverSpec, tags []*tagRun, events, excite
 	for b := range res.Buckets {
 		res.Buckets[b] = res.Buckets[b] / bucketDur.Seconds() / 1e3
 	}
-	res.Cache = cache.stats()
+	// Every response reads its working point once in contention; every
+	// response that survives contention reads it again in the downlink,
+	// and every delivery reads its packet capacity.
+	o := res.Outcomes
+	decoded := int64(o[sim.Delivered] + o[sim.DecodedConcurrent])
+	table.LinkLookups = int64(o[sim.CrossCollided]) + 2*(decoded+int64(o[sim.LostDownlink]))
+	table.BitsLookups = decoded
+	res.Cache = table
 	return res, nil
 }
 

@@ -35,7 +35,7 @@ func phaseGoldenConfig(workers int) Config {
 // TestPhaseGoldenDeterminism pins satellite contract of docs/CHANNELS.md:
 // a phase-aware fleet run drains byte-identical JSONL at workers=1 and
 // an oversubscribed pool (the StreamChannelPhase draws are keyed per
-// cache site, not per worker), and matches the committed golden.
+// link-table site, not per worker), and matches the committed golden.
 // Regenerate deliberately with
 // `go test ./internal/fleet -run PhaseGolden -update`.
 func TestPhaseGoldenDeterminism(t *testing.T) {
@@ -131,13 +131,13 @@ func TestPhaseChangesOutcomes(t *testing.T) {
 
 	// And the penalty must actually move a marginal PER working point —
 	// otherwise the phase path is wired up but vacuous.
-	cOff := newLinkCache(baseCfg.Channel, 0.25, baseCfg.Seed, nil, false)
+	cOff := newLinkTable(baseCfg.Channel, 0.25, baseCfg.Seed, nil, false)
 	pc := PhaseConfig{}.withDefaults()
-	cOn := newLinkCache(baseCfg.Channel, 0.25, baseCfg.Seed, &pc, false)
+	cOn := newLinkTable(baseCfg.Channel, 0.25, baseCfg.Seed, &pc, false)
 	moved := false
 	for b := 5; b < 90 && !moved; b++ {
-		off := cOff.peek(radio.ProtocolBLE, b, 1)
-		on := cOn.peek(radio.ProtocolBLE, b, 1)
+		off := cOff.compute(linkKey{radio.ProtocolBLE, b, 1})
+		on := cOn.compute(linkKey{radio.ProtocolBLE, b, 1})
 		if off.InRange && off.PERTag > 0 && off.PERTag < 1 && on.PERTag != off.PERTag {
 			moved = true
 		}
@@ -175,7 +175,7 @@ func TestDoubleDeckerFleetBaseline(t *testing.T) {
 			res.FleetTagKbps, phased.FleetTagKbps)
 	}
 
-	c := newLinkCache(channel.NewLoS(), 0.25, 1, nil, true)
+	c := newLinkTable(channel.NewLoS(), 0.25, 1, nil, true)
 	if got := c.scaleTagBits(1000); got != 450 {
 		t.Fatalf("scaleTagBits(1000) = %d, want 450 (×0.9/2)", got)
 	}

@@ -1,9 +1,9 @@
 // Package replay is the deterministic-replay harness for the deployment
-// simulators: it flattens a run's per-packet outcomes into a compact,
+// engine: it flattens a run's per-packet outcomes into a compact,
 // canonical journal keyed by (tag, protocol, outcome, RSSI bucket),
 // replays a seed, and diffs the journal against a committed golden trace.
-// Because every RNG stream in internal/sim and internal/fleet is a pure
-// function of (seed, stream, site), a journal mismatch means real
+// Because every RNG stream of internal/fleet is a pure function of
+// (seed, stream, site), a journal mismatch means real
 // nondeterminism (or an intentional model change) — the regression gate
 // `make replay-diff` runs alongside the race gate on every PR.
 package replay
@@ -40,7 +40,7 @@ type Entry struct {
 
 // Journal is the canonical outcome trace of one simulated run.
 type Journal struct {
-	// Kind is "fleet" or "sim".
+	// Kind names the engine that produced the run; always "fleet".
 	Kind string
 	// Seed the run was replayed from.
 	Seed int64
@@ -88,30 +88,6 @@ func FromFleet(seed int64, res *fleet.Result) *Journal {
 				if n := counts[o]; n > 0 {
 					j.Entries = append(j.Entries, Entry{t.ID, p, o, n, b})
 				}
-			}
-		}
-	}
-	return j
-}
-
-// FromSim flattens a single-tag sim result into a journal (tag 0).
-func FromSim(seed int64, res *sim.Result) *Journal {
-	j := &Journal{
-		Kind: "sim",
-		Seed: seed,
-		Tags: 1,
-		Span: res.Span,
-	}
-	for _, p := range radio.Protocols {
-		s := res.PerProtocol[p]
-		if s == nil || s.Packets == 0 {
-			continue
-		}
-		j.Events += s.Packets
-		b := rssiBucket(res.RSSIdBm[p])
-		for _, o := range outcomeOrder {
-			if n := s.Outcomes[o]; n > 0 {
-				j.Entries = append(j.Entries, Entry{0, p, o, n, b})
 			}
 		}
 	}

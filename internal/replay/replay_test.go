@@ -10,7 +10,8 @@ import (
 	"time"
 
 	"multiscatter/internal/excite"
-	"multiscatter/internal/sim"
+	"multiscatter/internal/fleet"
+	"multiscatter/internal/obs"
 )
 
 var update = flag.Bool("update", false, "regenerate the golden replay trace")
@@ -132,25 +133,35 @@ func TestDiffReportsDrift(t *testing.T) {
 	}
 }
 
-func TestFromSimJournal(t *testing.T) {
+// TestOneTagJournal pins the journal of a one-tag deployment — the
+// mssim -journal/-replay path: entries cover every packet of the run,
+// the encoding round-trips, and the same seed replays to the same bytes.
+func TestOneTagJournal(t *testing.T) {
 	wifi := excite.NewWiFi11nSource()
 	wifi.PacketRate = 200
-	cfg := sim.Config{
-		Sources: []excite.Source{wifi, excite.NewBLEAdvSource()},
-		Span:    2 * time.Second,
-		Seed:    4,
+	run := func() *Journal {
+		res, err := fleet.Run(fleet.Config{
+			Sources:   []excite.Source{wifi, excite.NewBLEAdvSource()},
+			Tags:      []fleet.TagSpec{{X: -2}},
+			Receivers: []fleet.ReceiverSpec{{}},
+			Span:      2 * time.Second,
+			Seed:      4,
+			Obs:       obs.NewRegistry(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return FromFleet(4, res)
 	}
-	res, err := sim.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	j := run()
+	if j.Kind != "fleet" || j.Tags != 1 || len(j.Entries) == 0 {
+		t.Fatalf("one-tag journal shape: %+v", j)
 	}
-	j := FromSim(4, res)
-	if j.Kind != "sim" || j.Tags != 1 || len(j.Entries) == 0 {
-		t.Fatalf("sim journal shape: %+v", j)
-	}
-	// Entry counts must cover every packet of the run.
 	var n int
 	for _, e := range j.Entries {
+		if e.Tag != 0 {
+			t.Fatalf("entry for tag %d in a one-tag journal", e.Tag)
+		}
 		n += e.Count
 	}
 	if n != j.Events {
@@ -161,14 +172,9 @@ func TestFromSimJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(j, back) {
-		t.Fatal("sim journal round-trip failed")
+		t.Fatal("one-tag journal round-trip failed")
 	}
-	// Same seed replays to the same bytes.
-	res2, err := sim.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(j.Encode(), FromSim(4, res2).Encode()) {
-		t.Fatal("sim replay diverged")
+	if !bytes.Equal(j.Encode(), run().Encode()) {
+		t.Fatal("one-tag replay diverged")
 	}
 }

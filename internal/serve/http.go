@@ -11,9 +11,16 @@ import (
 	"multiscatter/internal/obs/ptrace"
 )
 
+// maxJobBodyBytes caps a POST /jobs body. A JobConfig is a few hundred
+// bytes of JSON, so 64 KiB leaves ample room while keeping an untrusted
+// client from making the decoder buffer an unbounded body; larger bodies
+// get 413.
+const maxJobBodyBytes = 64 << 10
+
 // Handler returns the service's HTTP API for m:
 //
-//	POST /jobs             submit a JobConfig (JSON body) → 202 + status;
+//	POST /jobs             submit a JobConfig (JSON body of at most
+//	                       maxJobBodyBytes, else 413) → 202 + status;
 //	                       ?wait=1 streams NDJSON events until the job
 //	                       finishes, ending with the result line
 //	GET  /jobs             every job's status, submission order
@@ -46,9 +53,15 @@ func Handler(m *Manager, reg *obs.Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var jc JobConfig
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBodyBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&jc); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				http.Error(w, fmt.Sprintf("job config exceeds %d bytes", tooBig.Limit),
+					http.StatusRequestEntityTooLarge)
+				return
+			}
 			http.Error(w, "bad job config: "+err.Error(), http.StatusBadRequest)
 			return
 		}

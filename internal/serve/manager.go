@@ -678,7 +678,10 @@ func (m *Manager) finishJob(job *Job, res *fleet.Result, raw []byte, snap obs.Sn
 	state := job.state
 	started, submitted, finished := job.started, job.submitted, job.finished
 	job.mu.Unlock()
-	close(job.done)
+	// Wake waiters only once the job's service telemetry is recorded, so
+	// a caller that sees the job terminal also sees its latencies and
+	// counters.
+	defer close(job.done)
 
 	if !started.IsZero() {
 		m.lat.run.Observe(float64(finished.Sub(started)) / 1e6)

@@ -434,6 +434,43 @@ func TestHTTPAPI(t *testing.T) {
 	}
 }
 
+// TestJobBodyCap pins the POST /jobs body limit: the BenchJobs workload
+// is admitted, and a body past maxJobBodyBytes is refused with 413 before
+// it is buffered in full.
+func TestJobBodyCap(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewManager(Config{PoolWorkers: 2, Obs: reg})
+	defer m.Close()
+	srv := httptest.NewServer(Handler(m, reg))
+	defer srv.Close()
+	post := func(body []byte) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	for _, jc := range BenchJobs(4) {
+		body, err := json.Marshal(jc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := post(body); code != http.StatusAccepted {
+			t.Fatalf("BenchJobs body %s: status %d, want 202", body, code)
+		}
+	}
+	huge := []byte(`{"scenario":"` + strings.Repeat("a", maxJobBodyBytes) + `"}`)
+	if code := post(huge); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body: status %d, want 413", len(huge), code)
+	}
+	if got := len(m.Jobs()); got != 4 {
+		t.Fatalf("manager holds %d jobs, want only the 4 admitted", got)
+	}
+}
+
 func TestParseFloor(t *testing.T) {
 	w, h, err := ParseFloor("30x50")
 	if err != nil || w != 30 || h != 50 {

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -150,6 +151,12 @@ func TestLatencyHistograms(t *testing.T) {
 	waitDone(t, j)
 	resp, err := http.Get(srv.URL + "/jobs/" + j.ID + "/result")
 	if err != nil {
+		t.Fatal(err)
+	}
+	// The flushed stream is chunked, and its terminating chunk is written
+	// only after the handler returns: reading to EOF orders the handler's
+	// deferred stream-latency observation before the snapshot.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()

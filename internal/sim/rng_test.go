@@ -3,8 +3,8 @@ package sim
 import "testing"
 
 func TestSeedRNGDeterministic(t *testing.T) {
-	a := SeedRNG(42, StreamDeployment)
-	b := SeedRNG(42, StreamDeployment)
+	a := SeedRNG(42, StreamFleetTimeline)
+	b := SeedRNG(42, StreamFleetTimeline)
 	for i := 0; i < 100; i++ {
 		if a.Float64() != b.Float64() {
 			t.Fatal("same (seed, stream) must replay identically")
@@ -13,7 +13,7 @@ func TestSeedRNGDeterministic(t *testing.T) {
 }
 
 func TestSeedRNGStreamsIndependent(t *testing.T) {
-	a := SeedRNG(42, StreamDeployment)
+	a := SeedRNG(42, StreamFleetDownlink)
 	b := SeedRNG(42, StreamFleetTimeline)
 	same := 0
 	for i := 0; i < 100; i++ {

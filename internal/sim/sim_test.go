@@ -1,238 +1,12 @@
 package sim
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
-	"multiscatter/internal/channel"
-	"multiscatter/internal/excite"
 	"multiscatter/internal/overlay"
 	"multiscatter/internal/radio"
 )
-
-func wifiSource(rate float64) excite.Source {
-	s := excite.NewWiFi11nSource()
-	s.PacketRate = rate
-	return s
-}
-
-func TestRunBasicDeployment(t *testing.T) {
-	res, err := Run(Config{
-		Sources: []excite.Source{wifiSource(200)},
-		Span:    5 * time.Second,
-		Seed:    1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := res.PerProtocol[radio.Protocol80211n]
-	if s == nil || s.Packets < 800 || s.Packets > 1200 {
-		t.Fatalf("packets = %+v", s)
-	}
-	// Most packets delivered: no collisions (single source), ~94%
-	// identification.
-	frac := float64(s.Outcomes[Delivered]) / float64(s.Packets)
-	if frac < 0.85 || frac > 0.99 {
-		t.Fatalf("delivered fraction = %v, want ≈0.94", frac)
-	}
-	if res.TagKbps <= 0 {
-		t.Fatal("no tag throughput")
-	}
-	if res.EnergyRounds != 0 {
-		t.Fatal("unlimited energy should report 0 rounds")
-	}
-}
-
-func TestRunShadowingReplayable(t *testing.T) {
-	cfg := Config{
-		Sources:           []excite.Source{wifiSource(200), excite.NewBLEAdvSource()},
-		Channel:           &channel.Model{RefLossDB: 40.05, Exponent: 2.0, ShadowSigmaDB: 6},
-		ReceiverDistanceM: 12,
-		Span:              3 * time.Second,
-		Seed:              17,
-	}
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same-seed shadowed runs diverged")
-	}
-	// The shadowed working point must be reported and differ from the
-	// unshadowed one for at least one protocol (σ=6 dB at 12 m).
-	cfg.Channel = &channel.Model{RefLossDB: 40.05, Exponent: 2.0}
-	flat, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved := false
-	for _, p := range radio.Protocols {
-		if a.RSSIdBm[p] != flat.RSSIdBm[p] {
-			moved = true
-		}
-	}
-	if !moved {
-		t.Fatal("shadowing left every protocol's RSSI untouched")
-	}
-	// A different seed draws different fades.
-	cfg.Channel = &channel.Model{RefLossDB: 40.05, Exponent: 2.0, ShadowSigmaDB: 6}
-	cfg.Seed = 18
-	c, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(a.RSSIdBm, c.RSSIdBm) {
-		t.Fatal("different seeds drew identical shadow fades")
-	}
-}
-
-func TestRunNoSources(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
-		t.Fatal("expected error without sources")
-	}
-}
-
-func TestSingleProtocolTagIdles(t *testing.T) {
-	// Figure 18a dynamics: alternating 802.11b/802.11n carriers. The
-	// multiscatter tag delivers on both; the 802.11n-only tag delivers
-	// on half the airtime.
-	b := excite.Source{
-		Protocol:       radio.Protocol80211b,
-		PacketRate:     300,
-		PacketDuration: 2392 * time.Microsecond,
-		Period:         time.Second,
-		OnFraction:     0.5,
-	}
-	n := wifiSource(300)
-	n.Period = time.Second
-	n.OnFraction = 0.5
-	n.PhaseOffset = 500 * time.Millisecond
-
-	multi, err := Run(Config{
-		Sources: []excite.Source{b, n},
-		Span:    6 * time.Second,
-		Seed:    2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := Run(Config{
-		Sources: []excite.Source{b, n},
-		Span:    6 * time.Second,
-		Seed:    2,
-		Tag:     TagProfile{Supported: []radio.Protocol{radio.Protocol80211n}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(multi.TagKbps > 1.5*single.TagKbps) {
-		t.Fatalf("multi %v kbps should far exceed single %v kbps", multi.TagKbps, single.TagKbps)
-	}
-	// The single-protocol tag records the 802.11b packets as unsupported.
-	sb := single.PerProtocol[radio.Protocol80211b]
-	if sb.Outcomes[Unsupported] == 0 {
-		t.Fatal("single-protocol tag should mark 802.11b unsupported")
-	}
-	if sb.Outcomes[Delivered] != 0 {
-		t.Fatal("single-protocol tag must not deliver on 802.11b")
-	}
-}
-
-func TestCollisionsReduceDelivery(t *testing.T) {
-	// Dense WiFi + BLE: most BLE packets collide (Figure 16 dynamics).
-	wifi := wifiSource(2000)
-	bleSrc := excite.NewBLEAdvSource()
-	res, err := Run(Config{
-		Sources: []excite.Source{wifi, bleSrc},
-		Span:    3 * time.Second,
-		Seed:    3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ble := res.PerProtocol[radio.ProtocolBLE]
-	if ble.Packets == 0 {
-		t.Fatal("no BLE packets")
-	}
-	collFrac := float64(ble.Outcomes[Collided]) / float64(ble.Packets)
-	if collFrac < 0.4 {
-		t.Fatalf("BLE collision fraction = %v, want ≥ 0.4 under 80%% WiFi duty", collFrac)
-	}
-	wifiStats := res.PerProtocol[radio.Protocol80211n]
-	wifiColl := float64(wifiStats.Outcomes[Collided]) / float64(wifiStats.Packets)
-	if wifiColl > 0.1 {
-		t.Fatalf("WiFi collision fraction = %v, want small", wifiColl)
-	}
-}
-
-func TestEnergyLimitedOperation(t *testing.T) {
-	// Indoors at 500 lux the harvester powers the tag only ~0.08% of the
-	// time (0.18 s per 216 s round), so almost every packet finds the
-	// tag asleep.
-	res, err := Run(Config{
-		Sources: []excite.Source{wifiSource(100)},
-		Span:    20 * time.Second,
-		Seed:    4,
-		Energy:  &EnergyConfig{Lux: 500},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := res.PerProtocol[radio.Protocol80211n]
-	asleepFrac := float64(s.Outcomes[TagAsleep]) / float64(s.Packets)
-	if asleepFrac < 0.95 {
-		t.Fatalf("asleep fraction = %v, want ≈1 indoors", asleepFrac)
-	}
-	// Outdoors (1.04e5 lux) the harvester cycles quickly: rounds occur
-	// and many packets are served.
-	res, err = Run(Config{
-		Sources: []excite.Source{wifiSource(100)},
-		Span:    20 * time.Second,
-		Seed:    4,
-		Energy:  &EnergyConfig{Lux: 1.04e5, StartCharged: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s = res.PerProtocol[radio.Protocol80211n]
-	served := float64(s.Outcomes[Delivered]+s.Outcomes[Misidentified]) / float64(s.Packets)
-	if served < 0.1 {
-		t.Fatalf("outdoor served fraction = %v, want substantial", served)
-	}
-	if res.EnergyRounds == 0 {
-		t.Fatal("outdoor run should cycle the harvester")
-	}
-}
-
-func TestBucketsTimeline(t *testing.T) {
-	src := wifiSource(300)
-	src.Period = 2 * time.Second
-	src.OnFraction = 0.5
-	res, err := Run(Config{
-		Sources:  []excite.Source{src},
-		Span:     4 * time.Second,
-		Seed:     5,
-		BucketMS: 250,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BucketDur != 250*time.Millisecond {
-		t.Fatal("bucket duration")
-	}
-	// On-window buckets must carry throughput; off-window buckets ≈ 0.
-	// Window: [0,1)s on, [1,2)s off, ...
-	on := res.Buckets[1]  // 250–500 ms
-	off := res.Buckets[5] // 1250–1500 ms
-	if !(on > 0) || off != 0 {
-		t.Fatalf("duty-cycle not visible in buckets: on=%v off=%v", on, off)
-	}
-}
 
 func TestPacketBits(t *testing.T) {
 	// An 802.11b packet of 2192 µs (192 µs overhead + 2000 symbols) in

@@ -1,8 +1,8 @@
 #!/bin/sh
-# Full verification gate: build, vet, race-enabled tests, golden replay
-# diff, a short overlay fuzz smoke, and the msserve end-to-end smoke
-# (race-built server, byte-identical results, graceful drain). Mirrors
-# `make check` for environments without make.
+# Full verification gate: build, vet, race-enabled tests, the benchmark
+# module's own tests, golden replay diff, a short overlay fuzz smoke, and
+# the msserve end-to-end smoke (race-built server, byte-identical results,
+# graceful drain). Mirrors `make check` for environments without make.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -12,6 +12,8 @@ echo "== go vet ./..."
 go vet ./...
 echo "== go test -race ./..."
 go test -race ./...
+echo "== msperf module tests (cmd/msperf is its own module)"
+(cd cmd/msperf && go test ./...)
 echo "== replay-diff (golden trace, serial vs parallel)"
 go test -run TestGoldenTrace -count=1 ./internal/replay
 echo "== fig15-demo (three-system occlusion comparison incl. Double-decker)"
