@@ -1,9 +1,10 @@
 # multiscatter — build/verify entry points.
 #
-#   make check          build + vet + race-enabled tests + msperf-test + replay-diff + bench-compare
+#   make check          build + vet + race-enabled tests + msperf-test + replay-diff + fuzz + bench-compare
 #   make test           plain test run (what CI tier-1 executes)
 #   make msperf-test    tests of the benchmark module (cmd/msperf, its own go.mod)
 #   make replay-diff    golden-trace determinism gate (serial vs parallel fleet)
+#   make fuzz           every fuzz target in the tree, 3s each
 #   make bench          fleet benchmarks at workers=1 and workers=NumCPU
 #   make bench-compare  msbench metrics vs committed BENCH_<date>.json baseline
 #   make profile        CPU+heap profile of BenchmarkFleet1000Tags, top-10 flat
@@ -17,7 +18,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race msperf-test check replay-diff bench bench-compare profile obs-demo trace-demo serve-demo serve-smoke fig15-demo fig16-demo docs-check
+.PHONY: all build vet test race msperf-test check replay-diff fuzz bench bench-compare profile obs-demo trace-demo serve-demo serve-smoke fig15-demo fig16-demo docs-check
 
 all: check
 
@@ -44,7 +45,13 @@ msperf-test:
 replay-diff:
 	$(GO) test -run TestGoldenTrace -count=1 ./internal/replay
 
-check: build vet race msperf-test replay-diff bench-compare
+# Runs every `func Fuzz` in the tree for a short budget each
+# (scripts/fuzz.sh); a failing input lands in the package's
+# testdata/fuzz corpus.
+fuzz:
+	sh scripts/fuzz.sh
+
+check: build vet race msperf-test replay-diff fuzz bench-compare
 
 bench:
 	$(GO) test -run - -bench 'BenchmarkFleet' -benchtime 1x -benchmem ./

@@ -41,7 +41,7 @@ var (
 	pool       = flag.Int("pool", 0, "shared fleet worker pool size (0 = GOMAXPROCS)")
 	maxRunning = flag.Int("max-running", 0, "jobs simulated concurrently (0 = 2×GOMAXPROCS)")
 	maxQueue   = flag.Int("max-queue", 0, "pending jobs admitted beyond the running ones (0 = 1024)")
-	maxTags    = flag.Int("max-tags", 0, "per-job tag-count admission limit (0 = 10000)")
+	maxTags    = flag.Int("max-tags", 0, "per-job tag-count and receiver-count admission limit (0 = 10000)")
 	maxSpan    = flag.Duration("max-span", 0, "per-job simulated-span admission limit (0 = 10m)")
 	maxPackets = flag.Int("max-packets", 0, "default per-job packet budget (0 = 4000000)")
 	drainTO    = flag.Duration("drain", 30*time.Second, "graceful-drain budget on SIGTERM before in-flight jobs are cancelled")

@@ -78,26 +78,46 @@ func NewReceiver(p radio.Protocol) *Receiver {
 	return &Receiver{Protocol: p, SearchHz: 60e3, StepHz: 5e3, MaxDelay: 2000}
 }
 
-// synchronize dispatches to the protocol's matched-filter sync.
-func (r *Receiver) synchronize(w radio.Waveform) (int, float64) {
+// syncReference returns the matched-filter reference of the protocol's
+// frame sync, or nil for 802.11n, whose sync is not a plain matched
+// filter.
+func (r *Receiver) syncReference() []complex128 {
 	switch r.Protocol {
 	case radio.Protocol80211b:
-		return dsss.Synchronize(w, dsss.Config{Rate: dsss.Rate1Mbps, NoScramble: true}, r.MaxDelay)
-	case radio.Protocol80211n:
-		return ofdm.Synchronize(w, r.MaxDelay)
+		return dsss.SyncReference(dsss.Config{Rate: dsss.Rate1Mbps, NoScramble: true})
 	case radio.ProtocolBLE:
-		return ble.Synchronize(w, ble.Config{NoWhitening: true}, r.MaxDelay)
+		return ble.SyncReference(ble.Config{NoWhitening: true})
 	case radio.ProtocolZigBee:
-		return zigbee.Synchronize(w, zigbee.Config{}, r.MaxDelay)
+		return zigbee.SyncReference(zigbee.Config{})
 	default:
-		return -1, 0
+		return nil
 	}
 }
 
+// candidates returns the CFO grid: −SearchHz, −SearchHz+StepHz, … up to
+// SearchHz (+1 Hz of slack for the accumulated steps).
+func (r *Receiver) candidates() []float64 {
+	step := r.StepHz
+	if step <= 0 {
+		step = 5e3
+	}
+	var grid []float64
+	for cand := -r.SearchHz; cand <= r.SearchHz+1; cand += step {
+		grid = append(grid, cand)
+	}
+	return grid
+}
+
 // Recover re-aligns an impaired carrier in place: it brute-force scans
-// candidate CFOs, derotates a probe copy, scores frame sync at each
-// candidate, then applies the best derotation and trims the delay so the
-// overlay codec can decode. It returns the estimated CFO and delay.
+// the candidate CFOs for the best frame-sync score, then applies that
+// derotation and trims the delay so the overlay codec can decode. It
+// returns the estimated CFO and delay.
+//
+// For 802.11b, BLE and ZigBee the whole CFO × delay search is one
+// dsp.CrossCorrSearch: the sync reference is rotated up by each
+// candidate instead of the probe being rotated down, which has the same
+// score. 802.11n's sync (an autocorrelation plateau, then an L-LTF
+// search around it) runs once per candidate on a derotated probe.
 func (r *Receiver) Recover(c *overlay.Carrier) (cfoHz float64, delay int, err error) {
 	if r.Protocol != c.Plan.Protocol {
 		return 0, 0, fmt.Errorf("core: receiver for %v given %v carrier", r.Protocol, c.Plan.Protocol)
@@ -109,19 +129,16 @@ func (r *Receiver) Recover(c *overlay.Carrier) (cfoHz float64, delay int, err er
 	if probeLen > len(c.Waveform.IQ) {
 		probeLen = len(c.Waveform.IQ)
 	}
-	bestScore := -1.0
+	probe := c.Waveform.IQ[:probeLen]
+	grid := r.candidates()
 	bestCFO, bestOff := 0.0, -1
-	step := r.StepHz
-	if step <= 0 {
-		step = 5e3
-	}
-	for cand := -r.SearchHz; cand <= r.SearchHz+1; cand += step {
-		probe := dsp.Clone(c.Waveform.IQ[:probeLen])
-		dsp.Rotate(probe, -cand, rate, 0)
-		off, score := r.synchronize(radio.Waveform{IQ: probe, Rate: rate})
-		if off >= 0 && score > bestScore {
-			bestScore, bestCFO, bestOff = score, cand, off
+	if ref := r.syncReference(); ref != nil {
+		off, k, score := dsp.CrossCorrSearch(probe, ref, r.MaxDelay, grid, rate)
+		if off >= 0 && score >= dsp.SyncThreshold {
+			bestCFO, bestOff = grid[k], off
 		}
+	} else {
+		bestOff, bestCFO = r.searchEach(probe, grid, rate)
 	}
 	if bestOff < 0 {
 		return 0, 0, fmt.Errorf("core: no %v frame found within ±%.0f kHz", r.Protocol, r.SearchHz/1e3)
@@ -129,4 +146,23 @@ func (r *Receiver) Recover(c *overlay.Carrier) (cfoHz float64, delay int, err er
 	dsp.Rotate(c.Waveform.IQ, -bestCFO, rate, 0)
 	c.Waveform.IQ = c.Waveform.IQ[bestOff:]
 	return bestCFO, bestOff, nil
+}
+
+// searchEach runs 802.11n's sync once per candidate on the probe
+// derotated into one reused buffer, and returns the best lock's offset
+// (−1 if none) and CFO.
+func (r *Receiver) searchEach(probe []complex128, grid []float64, rate float64) (int, float64) {
+	buf := dsp.SharedPool.GetComplex(len(probe))
+	defer dsp.SharedPool.PutComplex(buf)
+	bestScore := -1.0
+	bestCFO, bestOff := 0.0, -1
+	for _, cand := range grid {
+		copy(buf, probe)
+		dsp.Rotate(buf, -cand, rate, 0)
+		off, score := ofdm.Synchronize(radio.Waveform{IQ: buf, Rate: rate}, r.MaxDelay)
+		if off >= 0 && score > bestScore {
+			bestScore, bestCFO, bestOff = score, cand, off
+		}
+	}
+	return bestOff, bestCFO
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 
+	"multiscatter/internal/dsp"
 	"multiscatter/internal/overlay"
 	"multiscatter/internal/phy/ble"
 	"multiscatter/internal/phy/dsss"
@@ -43,7 +44,7 @@ func UniversalReceive(w radio.Waveform, maxOffset int) (*UniversalFrame, error) 
 	}
 	// ZigBee (8 Msps captures).
 	if w.Rate == (zigbee.Config{}).SampleRate() {
-		if _, score := zigbee.Synchronize(w, zigbee.Config{}, maxOffset); score >= 0.5 {
+		if _, score := zigbee.Synchronize(w, zigbee.Config{}, maxOffset); score >= dsp.SyncThreshold {
 			if fr, err := zigbee.ReceiveFrame(w, zigbee.Config{}, maxOffset); err == nil {
 				consider(&UniversalFrame{
 					Protocol:    radio.ProtocolZigBee,
@@ -53,7 +54,7 @@ func UniversalReceive(w radio.Waveform, maxOffset int) (*UniversalFrame, error) 
 				})
 			}
 		}
-		if _, score := ble.Synchronize(w, ble.Config{}, maxOffset); score >= 0.5 {
+		if _, score := ble.Synchronize(w, ble.Config{}, maxOffset); score >= dsp.SyncThreshold {
 			if fr, err := ble.ReceiveFrame(w, ble.Config{}, maxOffset); err == nil {
 				consider(&UniversalFrame{
 					Protocol:    radio.ProtocolBLE,
@@ -66,7 +67,7 @@ func UniversalReceive(w radio.Waveform, maxOffset int) (*UniversalFrame, error) 
 	}
 	// 802.11b (22 Msps captures).
 	if w.Rate == (dsss.Config{}).SampleRate() {
-		if _, score := dsss.Synchronize(w, dsss.Config{}, maxOffset); score >= 0.5 {
+		if _, score := dsss.Synchronize(w, dsss.Config{}, maxOffset); score >= dsp.SyncThreshold {
 			if fr, err := dsss.ReceiveFrame(w, dsss.Config{}, maxOffset); err == nil {
 				consider(&UniversalFrame{
 					Protocol:    radio.Protocol80211b,

@@ -156,6 +156,22 @@ func BenchmarkCrossCorrPeak(b *testing.B) {
 	}
 }
 
+// BenchmarkCrossCorrSearch times the receiver's CFO × delay search at
+// the BLE sizes: a 320-sample header searched over 2001 offsets and a
+// 25-point ±60 kHz grid at 8 Msps (4096-point transforms).
+func BenchmarkCrossCorrSearch(b *testing.B) {
+	x := randomIQ(4400, 6)
+	ref := randomIQ(320, 7)
+	freqs := make([]float64, 25)
+	for k := range freqs {
+		freqs[k] = -60e3 + 5e3*float64(k)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		CrossCorrSearch(x, ref, 2000, freqs, 8e6)
+	}
+}
+
 func BenchmarkLowpass63Taps(b *testing.B) {
 	f := NewLowpass(0.1, 63)
 	x := randomIQ(4096, 8)

@@ -382,6 +382,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.BucketMS <= 0 {
 		cfg.BucketMS = 500
 	}
+	bucketDur := time.Duration(cfg.BucketMS) * time.Millisecond
+	if bucketDur <= 0 || bucketDur/time.Millisecond != time.Duration(cfg.BucketMS) {
+		return nil, fmt.Errorf("fleet: bucket length %d ms overflows time.Duration", cfg.BucketMS)
+	}
 	if cfg.Channel == nil {
 		cfg.Channel = channel.NewLoS()
 	}
@@ -447,7 +451,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	bucketDur := time.Duration(cfg.BucketMS) * time.Millisecond
 	numBuckets := int(cfg.Span/bucketDur) + 1
 
 	// Per-tag state: receiver assignment, link-table bucket, profile.

@@ -73,6 +73,12 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(Config{Sources: []excite.Source{wifiSource(10)}}); err == nil {
 		t.Fatal("expected error without tags")
 	}
+	// 288230376151711743 ms wraps to −1 ms as a Duration; it must be an
+	// error, not a negative bucket count.
+	cfg := Config{Sources: []excite.Source{wifiSource(10)}, Tags: PlaceGrid(1, 1, 1), BucketMS: 288230376151711743}
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("expected error for an overflowing bucket length")
+	}
 }
 
 func TestFleetDeterministicAcrossWorkers(t *testing.T) {

@@ -11,16 +11,16 @@ import (
 // the frame-start sample offset and the normalized detection score;
 // offset −1 means no plausible frame within maxOffset samples.
 func Synchronize(w radio.Waveform, cfg Config, maxOffset int) (int, float64) {
-	ref := referenceHeader(cfg)
-	off, score := dsp.CrossCorrPeak(w.IQ, ref, maxOffset)
-	if score < 0.5 {
+	off, score := dsp.CrossCorrPeak(w.IQ, SyncReference(cfg), maxOffset)
+	if score < dsp.SyncThreshold {
 		return -1, score
 	}
 	return off, score
 }
 
-// referenceHeader synthesizes the preamble + access address for cfg.
-func referenceHeader(cfg Config) []complex128 {
+// SyncReference synthesizes the matched-filter reference Synchronize
+// correlates against: the preamble + access address for cfg.
+func SyncReference(cfg Config) []complex128 {
 	m := NewModulator(cfg)
 	w, info := m.Modulate(radio.Packet{Payload: []byte{0}})
 	return w.IQ[:info.AccessEnd]

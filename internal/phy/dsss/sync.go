@@ -12,23 +12,20 @@ import (
 // the normalized detection score; offset −1 means no plausible preamble
 // within maxOffset samples.
 func Synchronize(w radio.Waveform, cfg Config, maxOffset int) (int, float64) {
-	ref := referencePreamble(cfg)
-	// Correlating the full 144 µs preamble is unnecessary; the first
-	// 24 µs of scrambled SYNC is unambiguous.
-	n := 24 * 11 * cfg.samplesPerChip()
-	if n > len(ref) {
-		n = len(ref)
-	}
-	off, score := dsp.CrossCorrPeak(w.IQ, ref[:n], maxOffset)
-	if score < 0.5 {
+	off, score := dsp.CrossCorrPeak(w.IQ, SyncReference(cfg), maxOffset)
+	if score < dsp.SyncThreshold {
 		return -1, score
 	}
 	return off, score
 }
 
-// referencePreamble synthesizes the preamble section for cfg.
-func referencePreamble(cfg Config) []complex128 {
+// SyncReference synthesizes the matched-filter reference Synchronize
+// correlates against: the first 24 µs of the PLCP preamble for cfg.
+// Correlating the full 144 µs preamble is unnecessary; 24 µs of
+// scrambled SYNC is unambiguous.
+func SyncReference(cfg Config) []complex128 {
 	m := NewModulator(cfg)
 	w, info := m.Modulate(radio.Packet{Payload: []byte{0}})
-	return w.IQ[:info.PreambleEnd]
+	n := min(24*11*cfg.samplesPerChip(), info.PreambleEnd)
+	return w.IQ[:n]
 }

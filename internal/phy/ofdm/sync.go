@@ -34,7 +34,7 @@ func Synchronize(w radio.Waveform, maxOffset int) (int, float64) {
 		return -1, 0
 	}
 	off, score := dsp.CrossCorrPeak(w.IQ[lo:hi], ref, hi-lo-len(ref))
-	if off < 0 || score < 0.5 {
+	if off < 0 || score < dsp.SyncThreshold {
 		return -1, score
 	}
 	// The LTF reference starts at LegacyEnd−(64*2+32)−... it is placed

@@ -11,22 +11,19 @@ import (
 // normalized detection score; offset −1 means no plausible frame within
 // maxOffset samples.
 func Synchronize(w radio.Waveform, cfg Config, maxOffset int) (int, float64) {
-	ref := referenceSHR(cfg)
-	// The first three preamble symbols are enough to lock unambiguously.
-	n := 3 * ChipsPerSymbol * cfg.spc()
-	if n > len(ref) {
-		n = len(ref)
-	}
-	off, score := dsp.CrossCorrPeak(w.IQ, ref[:n], maxOffset)
-	if score < 0.5 {
+	off, score := dsp.CrossCorrPeak(w.IQ, SyncReference(cfg), maxOffset)
+	if score < dsp.SyncThreshold {
 		return -1, score
 	}
 	return off, score
 }
 
-// referenceSHR synthesizes the SHR for cfg.
-func referenceSHR(cfg Config) []complex128 {
+// SyncReference synthesizes the matched-filter reference Synchronize
+// correlates against: the first three SHR preamble symbols for cfg,
+// which are enough to lock unambiguously.
+func SyncReference(cfg Config) []complex128 {
 	m := NewModulator(cfg)
 	w, info := m.Modulate(radio.Packet{Payload: []byte{0}})
-	return w.IQ[:info.SHREnd]
+	n := min(3*ChipsPerSymbol*cfg.spc(), info.SHREnd)
+	return w.IQ[:n]
 }

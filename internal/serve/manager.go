@@ -52,9 +52,11 @@ type Limits struct {
 	// MaxQueue is the number of pending jobs admitted beyond the
 	// running ones; a full queue rejects with ErrBusy. Default 1024.
 	MaxQueue int
-	// MaxTags caps Config.Tags per job. Default 10000.
+	// MaxTags caps Config.Tags, and Config.Receivers, per job. Default
+	// 10000.
 	MaxTags int
-	// MaxSpan caps the simulated span per job. Default 10 minutes.
+	// MaxSpan caps the simulated span per job, and the throughput bucket
+	// length. Default 10 minutes.
 	MaxSpan time.Duration
 	// MaxPackets is the default per-job packet budget (fleet.MaxEvents)
 	// when the job does not set its own; a job asking for more than
@@ -456,8 +458,17 @@ func (m *Manager) admit(jc JobConfig) error {
 	if jc.Tags > m.limits.MaxTags {
 		return fmt.Errorf("%w: %d tags exceeds limit %d", ErrRejected, jc.Tags, m.limits.MaxTags)
 	}
-	if jc.Span() > m.limits.MaxSpan {
-		return fmt.Errorf("%w: span %v exceeds limit %v", ErrRejected, jc.Span(), m.limits.MaxSpan)
+	// Milliseconds are compared before any conversion to a Duration,
+	// which would wrap for huge values and slip past the check.
+	maxMS := m.limits.MaxSpan.Milliseconds()
+	if int64(jc.SpanMS) > maxMS {
+		return fmt.Errorf("%w: span %d ms exceeds limit %v", ErrRejected, jc.SpanMS, m.limits.MaxSpan)
+	}
+	if int64(jc.BucketMS) > maxMS {
+		return fmt.Errorf("%w: bucket %d ms exceeds the span limit %v", ErrRejected, jc.BucketMS, m.limits.MaxSpan)
+	}
+	if jc.Receivers > m.limits.MaxTags {
+		return fmt.Errorf("%w: %d receivers exceeds limit %d", ErrRejected, jc.Receivers, m.limits.MaxTags)
 	}
 	if jc.MaxPackets > m.limits.MaxPackets {
 		return fmt.Errorf("%w: packet budget %d exceeds limit %d", ErrRejected, jc.MaxPackets, m.limits.MaxPackets)

@@ -471,6 +471,43 @@ func TestJobBodyCap(t *testing.T) {
 	}
 }
 
+// TestAdmissionOverflow pins the admission of values that wrap when
+// converted to a Duration, and of unbounded receiver counts: each body
+// gets a 400 through the handler, and the same manager still completes
+// a BenchJobs job afterwards.
+func TestAdmissionOverflow(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewManager(Config{PoolWorkers: 2, Obs: reg})
+	defer m.Close()
+	srv := httptest.NewServer(Handler(m, reg))
+	defer srv.Close()
+	for _, body := range []string{
+		`{"bucket_ms": 288230376151711743}`, // wraps to −1 ms
+		`{"span_ms": 18446744073710}`,       // wraps to 448 µs
+		`{"receivers": 10001}`,              // above MaxTags
+	} {
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if n := len(m.Jobs()); n != 0 {
+		t.Fatalf("manager holds %d jobs, want none", n)
+	}
+	job, err := m.Submit(BenchJobs(1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	if job.State() != StateDone {
+		t.Fatalf("BenchJobs job after the rejections: state %s, err %q", job.State(), job.Err())
+	}
+}
+
 func TestParseFloor(t *testing.T) {
 	w, h, err := ParseFloor("30x50")
 	if err != nil || w != 30 || h != 50 {

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Full verification gate: build, vet, race-enabled tests, the benchmark
-# module's own tests, golden replay diff, a short overlay fuzz smoke, and
+# module's own tests, golden replay diff, every fuzz target for 3 s, and
 # the msserve end-to-end smoke (race-built server, byte-identical results,
 # graceful drain). Mirrors `make check` for environments without make.
 set -eu
@@ -22,8 +22,8 @@ echo "== fig16-demo (concurrent multi-tag OFDM curve)"
 go run ./cmd/msbench -experiment fig16
 echo "== docs-check (dead intra-repo links)"
 sh scripts/docs_check.sh
-echo "== overlay fuzz smoke (5s)"
-go test -run - -fuzz FuzzPlanInvariants -fuzztime 5s ./internal/overlay
+echo "== fuzz (every fuzz target, 3s each)"
+sh scripts/fuzz.sh
 echo "== serve smoke (msserve + msload byte-identical, race-built)"
 sh scripts/serve_smoke.sh
 if [ "${MS_SKIP_BENCH:-}" = "1" ]; then
