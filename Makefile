@@ -6,6 +6,8 @@
 #   make replay-diff    golden-trace determinism gate (serial vs parallel fleet)
 #   make fuzz           every fuzz target in the tree, 3s each
 #   make bench          fleet benchmarks at workers=1 and workers=NumCPU
+#   make perf-gate      short msperf suite vs the newest committed perf/msperf_*.json
+#                       (opt-in, minutes; fails only on a regression on matching hardware)
 #   make bench-compare  msbench metrics vs committed BENCH_<date>.json baseline
 #   make profile        CPU+heap profile of BenchmarkFleet1000Tags, top-10 flat
 #   make obs-demo       short fleet run with the -obs endpoint up, scraped with curl
@@ -18,7 +20,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race msperf-test check replay-diff fuzz bench bench-compare profile obs-demo trace-demo serve-demo serve-smoke fig15-demo fig16-demo docs-check
+.PHONY: all build vet test race msperf-test check replay-diff fuzz bench perf-gate bench-compare profile obs-demo trace-demo serve-demo serve-smoke fig15-demo fig16-demo docs-check
 
 all: check
 
@@ -55,6 +57,13 @@ check: build vet race msperf-test replay-diff fuzz bench-compare
 
 bench:
 	$(GO) test -run - -bench 'BenchmarkFleet' -benchtime 1x -benchmem ./
+
+# Runs a 3-seed msperf suite and compares it with the newest committed
+# perf record (scripts/perf_gate.sh). Warns instead of failing when the
+# record comes from other hardware; never fails on "unresolved". Not part
+# of check: it takes minutes and needs a quiet host.
+perf-gate:
+	sh scripts/perf_gate.sh
 
 # Regenerates msbench metrics and diffs them against the latest committed
 # BENCH_<date>.json; fails on >15% drops in gated (kbps/accuracy) metrics.

@@ -55,10 +55,10 @@ func main() {
 	// The static Table 4 arithmetic for comparison.
 	fmt.Println("\nTable 4 arithmetic (50 mJ rounds at 279.5 mW):")
 	panel := energy.NewMP337()
-	fmt.Printf("  one round powers the tag for %.2f s\n", energy.ActiveSecondsPerRound(0.2795))
+	fmt.Printf("  one round powers the tag for %.2f s\n", energy.ActiveSecondsPerRound(energy.PrototypeLoadW))
 	fmt.Printf("  recharging takes %.3g s indoors, %.3g s outdoors\n",
 		panel.HarvestSeconds(energy.IndoorLux), panel.HarvestSeconds(energy.OutdoorLux))
-	for _, r := range energy.ExchangeTable(0.2795) {
+	for _, r := range energy.ExchangeTable(energy.PrototypeLoadW) {
 		fmt.Printf("  %-8v %6.1f pkts/round → one exchange every %8.3gs indoor / %8.3gs outdoor\n",
 			r.Protocol, r.PacketsPerRound, r.IndoorSeconds, r.OutdoorSeconds)
 	}

@@ -23,6 +23,9 @@ const (
 	IndoorLux = 500
 	// OutdoorLux is the paper's outdoor light level.
 	OutdoorLux = 1.04e5
+	// PrototypeLoadW is the COTS prototype's active system draw (Table 3:
+	// 279.5 mW at 20 Msps), the default tag load.
+	PrototypeLoadW = 0.2795
 )
 
 // RoundEnergyJ returns the energy released per discharge round:
@@ -74,7 +77,8 @@ func (p *SolarPanel) HarvestSeconds(lux float64) float64 {
 type Harvester struct {
 	// Panel supplies power.
 	Panel *SolarPanel
-	// LoadW is the system draw while active (the prototype's 279.5 mW).
+	// LoadW is the system draw while active; the prototype draws
+	// PrototypeLoadW.
 	LoadW float64
 	// JitterPct adds multiplicative Gaussian noise to the harvested power
 	// each Step — relative σ, so 0.1 means ±10% 1-σ flicker. Zero (the
@@ -105,7 +109,16 @@ func (h *Harvester) Active() bool { return h.active }
 // Step advances the simulation by dt seconds at the given illuminance and
 // reports whether the tag was active during the step.
 func (h *Harvester) Step(dt, lux float64) bool {
-	in := h.Panel.PowerW(lux)
+	return h.StepW(dt, h.Panel.PowerW(lux))
+}
+
+// StepW is Step with the panel's output already resolved: it advances
+// the simulation by dt seconds at a harvested power of powerW watts
+// (before jitter). A caller stepping at one light level resolves
+// Panel.PowerW once instead of once per step; the state trajectory is
+// identical to Step's.
+func (h *Harvester) StepW(dt, powerW float64) bool {
+	in := powerW
 	if h.JitterPct > 0 && h.Rand != nil && in > 0 {
 		in *= 1 + h.JitterPct*h.Rand.NormFloat64()
 		if in < 0 {

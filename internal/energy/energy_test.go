@@ -173,3 +173,21 @@ func TestHarvesterDutyCycle(t *testing.T) {
 		t.Fatalf("indoor duty cycle = %v, want ≈0.0008", duty)
 	}
 }
+
+func TestStepWMatchesStep(t *testing.T) {
+	// StepW at a pre-resolved panel power follows Step's trajectory
+	// exactly, jitter draws included.
+	a := NewHarvester(NewMP337(), PrototypeLoadW)
+	b := NewHarvester(NewMP337(), PrototypeLoadW)
+	a.JitterPct, a.Rand = 0.2, rand.New(rand.NewSource(5))
+	b.JitterPct, b.Rand = 0.2, rand.New(rand.NewSource(5))
+	for i, lux := range []float64{0, 0.001, IndoorLux, OutdoorLux, 1e9} {
+		w := b.Panel.PowerW(lux)
+		for step := 0; step < 500; step++ {
+			dt := 0.001 * float64(1+step%10)
+			if a.Step(dt, lux) != b.StepW(dt, w) || a.Voltage() != b.Voltage() {
+				t.Fatalf("lux %v (#%d): StepW diverged from Step at step %d", lux, i, step)
+			}
+		}
+	}
+}

@@ -21,13 +21,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"strconv"
 	"sync"
 	"time"
 
 	"multiscatter/internal/channel"
-	"multiscatter/internal/energy"
 	"multiscatter/internal/excite"
 	"multiscatter/internal/obs"
 	"multiscatter/internal/obs/ptrace"
@@ -294,16 +294,17 @@ type tagRun struct {
 	linked [protocolSlots]linkEntry
 	bits   []int
 
-	// responses lists the timeline indices this tag backscattered
+	// wake is the tag's energy profile's wake schedule, shared by every
+	// tag of an equal jitter-free profile; nil means always powered.
+	wake *wakeSchedule
+
+	// responses holds the timeline packets this tag backscattered
 	// (awake, clean, identified, supported).
-	responses []int32
+	responses packetSet
 	// counts[protocol][outcome] accumulates the packet fates.
 	counts  [protocolSlots][outcomeSlots]int
-	packets [protocolSlots]int
 	tagBits [protocolSlots]int
 	buckets []float64
-
-	energyRounds int
 }
 
 // trace1 records one lifecycle stage event for timeline packet i. Only
@@ -438,8 +439,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// computed once and shared read-only across the pool.
 	tTimeline := time.Now()
 	events := excite.Timeline(cfg.Sources, cfg.Span, sim.SeedRNG(cfg.Seed, sim.StreamFleetTimeline))
-	cfg.Obs.Stage("fleet.timeline").ObserveSince(tTimeline)
 	if cfg.MaxEvents > 0 && len(events) > cfg.MaxEvents {
+		cfg.Obs.Stage("fleet.timeline").ObserveSince(tTimeline)
 		return nil, fmt.Errorf("fleet: timeline has %d packets, budget %d: %w",
 			len(events), cfg.MaxEvents, ErrBudget)
 	}
@@ -450,15 +451,22 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			exciteCollided++
 		}
 	}
+	cfg.Obs.Stage("fleet.timeline").ObserveSince(tTimeline)
 
+	// Prefill resolves everything static before the parallel phases:
+	// per-tag state (receiver assignment, link-table bucket, profile,
+	// empty response set), the calibrated-link table, and one wake
+	// schedule per energy profile. Tag placements, sources and the
+	// timeline are fixed, so the parallel phases run on plain array and
+	// bit reads.
+	tPrefill := time.Now()
 	numBuckets := int(cfg.Span/bucketDur) + 1
-
-	// Per-tag state: receiver assignment, link-table bucket, profile.
 	table := newLinkTable(cfg.Channel, cfg.DistanceBucketM, cfg.Seed,
 		cfg.Phase, cfg.Baseline == BaselineDoubleDecker)
 	tags := make([]*tagRun, len(cfg.Tags))
 	for i, spec := range cfg.Tags {
-		t := &tagRun{spec: spec, id: i, mode: spec.Mode, buckets: make([]float64, numBuckets)}
+		t := &tagRun{spec: spec, id: i, mode: spec.Mode,
+			responses: newPacketSet(len(events)), buckets: make([]float64, numBuckets)}
 		if t.mode == 0 {
 			t.mode = overlay.Mode1
 		}
@@ -490,12 +498,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		tags[i] = t
 	}
-
-	// Build the calibrated-link table serially: tag placements and
-	// sources are static, so every working point and packet capacity is
-	// known up front and the parallel phases run on plain array reads.
-	tPrefill := time.Now()
 	stats := table.prefill(tags, cfg.Sources)
+	buildWakeSchedules(tags, events, cfg.Seed)
 	cfg.Obs.Stage("fleet.prefill").ObserveSince(tPrefill)
 
 	// Shard the fleet: a fixed partition (independent of Workers) so the
@@ -535,41 +539,21 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	traceMask := cfg.Trace.Mask(len(events))
 
 	// Phase 1 — identification: every tag classifies every packet
-	// (asleep / collided / misidentified / unsupported / responds).
+	// (asleep / collided / misidentified / unsupported / responds). The
+	// loop visits asleep packets too, in timeline order, so traced
+	// events reach the shard rings in emission order; an asleep packet
+	// costs a mask test, a bit test and a counter.
 	tIdentify := time.Now()
 	runShards(ctx, cfg.Pool, cfg.Workers, numShards, shardObs(func(shard int) {
 		rng := sim.SeedRNG(cfg.Seed+int64(shard), sim.StreamFleetShard)
 		tr := cfg.Trace.Shard(shard)
 		for _, t := range shardTags[shard] {
-			var harvester *energy.Harvester
-			var lux float64
-			if ec := t.spec.Energy; ec != nil {
-				load := ec.LoadW
-				if load <= 0 {
-					load = 0.2795
-				}
-				harvester = energy.NewHarvester(energy.NewMP337(), load)
-				if ec.HarvestJitterPct > 0 {
-					// Keyed by tag ID, not shard, so the jitter stream
-					// survives any change to the shard partition.
-					harvester.JitterPct = ec.HarvestJitterPct
-					harvester.Rand = sim.SeedRNGAt(cfg.Seed, sim.StreamEnergyHarvest, uint64(t.id))
-				}
-				lux = ec.Lux
-				if ec.StartCharged {
-					for !harvester.Step(0.05, 1e9) {
-					}
-				}
-			}
-			clock := time.Duration(0)
-			wasActive := harvester == nil || harvester.Active()
 			modeStr := ""
 			if tr != nil {
 				modeStr = t.mode.String() // hoisted: Mode.String formats
 			}
 			for i, e := range events {
 				p := e.Protocol
-				t.packets[p]++
 				// Tracing pays one nil check per packet when off; all
 				// event construction sits behind `traced`.
 				traced := traceMask != nil && traceMask[i]
@@ -585,27 +569,14 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 						ev.Detail = "air-collided"
 					}
 				}
-				if harvester != nil {
-					for clock < e.Start {
-						step := e.Start - clock
-						if step > 10*time.Millisecond {
-							step = 10 * time.Millisecond
-						}
-						active := harvester.Step(step.Seconds(), lux)
-						if active && !wasActive {
-							t.energyRounds++
-						}
-						wasActive = active
-						clock += step
-					}
-					if !harvester.Active() {
+				if t.wake != nil {
+					if !t.wake.awake.has(i) {
 						t.counts[p][sim.TagAsleep]++
 						if traced {
 							t.trace2(tr, e, i, ptrace.StageEnergy, "asleep", sim.TagAsleep)
 						}
 						continue
 					}
-					harvester.Step(e.Duration.Seconds(), lux)
 					if traced {
 						t.trace1(tr, e, i, ptrace.StageEnergy, "awake")
 					}
@@ -635,7 +606,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 					t.trace1(tr, e, i, ptrace.StageIdentify, "ok")
 					t.trace1(tr, e, i, ptrace.StagePlan, modeStr)
 				}
-				t.responses = append(t.responses, int32(i))
+				t.responses.set(i)
 			}
 		}
 	}))
@@ -655,9 +626,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		cont[ri] = make([]contention, len(events))
 	}
 	for _, t := range tags {
-		for _, ei := range t.responses {
-			p := events[ei].Protocol
-			cont[t.rx][ei].add(int32(t.id), t.linked[p].RSSIdBm)
+		for w, word := range t.responses {
+			for ; word != 0; word &= word - 1 {
+				ei := w*64 + bits.TrailingZeros64(word)
+				p := events[ei].Protocol
+				cont[t.rx][ei].add(int32(t.id), t.linked[p].RSSIdBm)
+			}
 		}
 	}
 
@@ -670,79 +644,84 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		rng := sim.SeedRNG(cfg.Seed+int64(shard), sim.StreamFleetDownlink)
 		tr := cfg.Trace.Shard(shard)
 		for _, t := range shardTags[shard] {
-			for _, ei := range t.responses {
-				e := events[ei]
-				p := e.Protocol
-				c := &cont[t.rx][ei]
-				traced := traceMask != nil && traceMask[ei]
-				// Concurrent OFDM joint decode: a collision of up to
-				// ConcurrentOFDM tags on an 802.11n packet is not arbitrated
-				// by capture at all — every participant rides its own
-				// subcarrier group (ofdm.AssignConcurrent) and the receiver
-				// separates them jointly. The decision depends only on the
-				// shared contention count, so it is identical for every
-				// participant and at any Workers value.
-				joint := p == radio.Protocol80211n && c.count > 1 &&
-					cfg.ConcurrentOFDM > 1 && int(c.count) <= cfg.ConcurrentOFDM
-				// Capture-loss boundary (pinned by TestCaptureMarginBoundary):
-				// a margin strictly below CaptureDB loses; exactly CaptureDB
-				// is captured. An exact RSSI tie makes the margin 0 (< any
-				// positive CaptureDB), but bestTag — the lowest tag ID, by
-				// merge order — is still the deterministic capture candidate.
-				lost := !joint && c.count > 1 &&
-					(c.bestTag != int32(t.id) || c.bestRSSI-c.secondRSSI < cfg.CaptureDB)
-				if DivergeHook != nil && DivergeHook(cfg.Workers, t.id, int(ei)) {
-					lost, joint = true, false
-				}
-				if lost {
-					t.counts[p][sim.CrossCollided]++
+			// Ascending packet order: the shard's PER draws follow it,
+			// and the golden traces pin that draw order.
+			for w, word := range t.responses {
+				for ; word != 0; word &= word - 1 {
+					ei := w*64 + bits.TrailingZeros64(word)
+					e := events[ei]
+					p := e.Protocol
+					c := &cont[t.rx][ei]
+					traced := traceMask != nil && traceMask[ei]
+					// Concurrent OFDM joint decode: a collision of up to
+					// ConcurrentOFDM tags on an 802.11n packet is not arbitrated
+					// by capture at all — every participant rides its own
+					// subcarrier group (ofdm.AssignConcurrent) and the receiver
+					// separates them jointly. The decision depends only on the
+					// shared contention count, so it is identical for every
+					// participant and at any Workers value.
+					joint := p == radio.Protocol80211n && c.count > 1 &&
+						cfg.ConcurrentOFDM > 1 && int(c.count) <= cfg.ConcurrentOFDM
+					// Capture-loss boundary (pinned by TestCaptureMarginBoundary):
+					// a margin strictly below CaptureDB loses; exactly CaptureDB
+					// is captured. An exact RSSI tie makes the margin 0 (< any
+					// positive CaptureDB), but bestTag — the lowest tag ID, by
+					// merge order — is still the deterministic capture candidate.
+					lost := !joint && c.count > 1 &&
+						(c.bestTag != int32(t.id) || c.bestRSSI-c.secondRSSI < cfg.CaptureDB)
+					if DivergeHook != nil && DivergeHook(cfg.Workers, t.id, ei) {
+						lost, joint = true, false
+					}
+					if lost {
+						t.counts[p][sim.CrossCollided]++
+						if traced {
+							t.trace2(tr, e, ei, ptrace.StageChannel,
+								detailN("cross-collided n=", c.count), sim.CrossCollided)
+						}
+						continue
+					}
 					if traced {
-						t.trace2(tr, e, int(ei), ptrace.StageChannel,
-							detailN("cross-collided n=", c.count), sim.CrossCollided)
+						switch {
+						case joint:
+							t.trace1(tr, e, ei, ptrace.StageChannel,
+								detailN("joint-ofdm n=", c.count))
+						case c.count > 1:
+							t.trace1(tr, e, ei, ptrace.StageChannel,
+								detailCaptured(c.count, c.bestRSSI-c.secondRSSI))
+						default:
+							t.trace1(tr, e, ei, ptrace.StageChannel, "clear")
+						}
 					}
-					continue
-				}
-				if traced {
-					switch {
-					case joint:
-						t.trace1(tr, e, int(ei), ptrace.StageChannel,
-							detailN("joint-ofdm n=", c.count))
-					case c.count > 1:
-						t.trace1(tr, e, int(ei), ptrace.StageChannel,
-							detailCaptured(c.count, c.bestRSSI-c.secondRSSI))
-					default:
-						t.trace1(tr, e, int(ei), ptrace.StageChannel, "clear")
+					entry := t.linked[p]
+					if !entry.InRange {
+						t.counts[p][sim.LostDownlink]++
+						if traced {
+							t.trace2(tr, e, ei, ptrace.StageDemod, "out-of-range", sim.LostDownlink)
+						}
+						continue
 					}
-				}
-				entry := t.linked[p]
-				if !entry.InRange {
-					t.counts[p][sim.LostDownlink]++
+					if entry.PERTag > 0 && rng.Float64() < entry.PERTag {
+						t.counts[p][sim.LostDownlink]++
+						if traced {
+							t.trace2(tr, e, ei, ptrace.StageDemod,
+								detailPERLoss(entry.PERTag), sim.LostDownlink)
+						}
+						continue
+					}
+					outcome := sim.Delivered
+					if joint {
+						outcome = sim.DecodedConcurrent
+					}
+					t.counts[p][outcome]++
+					pktBits := t.bits[e.Source]
+					t.tagBits[p] += pktBits
+					if b := int(e.Start / bucketDur); b < len(t.buckets) {
+						t.buckets[b] += float64(pktBits)
+					}
 					if traced {
-						t.trace2(tr, e, int(ei), ptrace.StageDemod, "out-of-range", sim.LostDownlink)
+						t.trace2(tr, e, ei, ptrace.StageDemod,
+							detailDelivered(entry.RSSIdBm, pktBits), outcome)
 					}
-					continue
-				}
-				if entry.PERTag > 0 && rng.Float64() < entry.PERTag {
-					t.counts[p][sim.LostDownlink]++
-					if traced {
-						t.trace2(tr, e, int(ei), ptrace.StageDemod,
-							detailPERLoss(entry.PERTag), sim.LostDownlink)
-					}
-					continue
-				}
-				outcome := sim.Delivered
-				if joint {
-					outcome = sim.DecodedConcurrent
-				}
-				t.counts[p][outcome]++
-				bits := t.bits[e.Source]
-				t.tagBits[p] += bits
-				if b := int(e.Start / bucketDur); b < len(t.buckets) {
-					t.buckets[b] += float64(bits)
-				}
-				if traced {
-					t.trace2(tr, e, int(ei), ptrace.StageDemod,
-						detailDelivered(entry.RSSIdBm, bits), outcome)
 				}
 			}
 		}
@@ -753,7 +732,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	tReduce := time.Now()
-	res, err := reduce(cfg, receivers, tags, len(events), exciteCollided, bucketDur, stats)
+	res, err := reduce(cfg, receivers, tags, events, exciteCollided, bucketDur, stats)
 	cfg.Obs.Stage("fleet.reduce").ObserveSince(tReduce)
 	if err == nil {
 		recordRun(cfg.Obs, res)

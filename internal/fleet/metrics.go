@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"multiscatter/internal/excite"
 	"multiscatter/internal/radio"
 	"multiscatter/internal/sim"
 )
@@ -116,14 +117,16 @@ var outcomesOrder = []sim.Outcome{
 }
 
 // reduce folds per-tag partials into the Result, iterating tags in ID
-// order so floating-point accumulation is deterministic. table is the
+// order so floating-point accumulation is deterministic. Every tag sees
+// the whole timeline, so per-protocol packet opportunities are the
+// timeline's protocol counts times the tag count. table is the
 // link-table shape from prefill; its lookup traffic is derived here from
 // the outcome totals.
-func reduce(cfg Config, receivers []ReceiverSpec, tags []*tagRun, events, exciteCollided int, bucketDur time.Duration, table CacheStats) (*Result, error) {
+func reduce(cfg Config, receivers []ReceiverSpec, tags []*tagRun, events []excite.Event, exciteCollided int, bucketDur time.Duration, table CacheStats) (*Result, error) {
 	res := &Result{
 		Span:           cfg.Span,
 		BucketDur:      bucketDur,
-		Events:         events,
+		Events:         len(events),
 		ExciteCollided: exciteCollided,
 		NumTags:        len(tags),
 		NumReceivers:   len(receivers),
@@ -132,24 +135,31 @@ func reduce(cfg Config, receivers []ReceiverSpec, tags []*tagRun, events, excite
 		PhaseAware:     cfg.Phase != nil,
 		Baseline:       string(cfg.Baseline),
 	}
+	var timelinePackets [protocolSlots]int
+	for _, e := range events {
+		timelinePackets[e.Protocol]++
+	}
 	perProto := make([]ProtocolTotals, 0, len(radio.Protocols))
 	protoIdx := map[radio.Protocol]int{}
 	for i, p := range radio.Protocols {
-		perProto = append(perProto, ProtocolTotals{Protocol: p, Name: p.String(), Outcomes: OutcomeCounts{}})
+		perProto = append(perProto, ProtocolTotals{Protocol: p, Name: p.String(),
+			Packets: timelinePackets[p] * len(tags), Outcomes: OutcomeCounts{}})
 		protoIdx[p] = i
 	}
 	spanSec := cfg.Span.Seconds()
 	for _, t := range tags {
 		tr := TagResult{
-			ID:           t.id,
-			X:            t.spec.X,
-			Y:            t.spec.Y,
-			Receiver:     t.rx,
-			DistanceM:    t.dist,
-			RSSIdBm:      map[string]float64{},
-			Outcomes:     OutcomeCounts{},
-			PerProtocol:  map[string]OutcomeCounts{},
-			EnergyRounds: t.energyRounds,
+			ID:          t.id,
+			X:           t.spec.X,
+			Y:           t.spec.Y,
+			Receiver:    t.rx,
+			DistanceM:   t.dist,
+			RSSIdBm:     map[string]float64{},
+			Outcomes:    OutcomeCounts{},
+			PerProtocol: map[string]OutcomeCounts{},
+		}
+		if t.wake != nil {
+			tr.EnergyRounds = t.wake.rounds
 		}
 		for _, p := range radio.Protocols {
 			tr.RSSIdBm[p.String()] = t.linked[p].RSSIdBm
@@ -165,7 +175,6 @@ func reduce(cfg Config, receivers []ReceiverSpec, tags []*tagRun, events, excite
 		}
 		for _, p := range radio.Protocols {
 			pt := &perProto[protoIdx[p]]
-			pt.Packets += t.packets[p]
 			pt.TagBits += t.tagBits[p]
 			tr.TagBits += t.tagBits[p]
 			for o := 0; o < outcomeSlots; o++ {

@@ -82,7 +82,7 @@ type EnergyConfig struct {
 	// Lux is the light level driving the MP3-37 panel.
 	Lux float64
 	// LoadW is the tag's active power draw (default: the COTS
-	// prototype's 279.5 mW).
+	// prototype's 279.5 mW, energy.PrototypeLoadW).
 	LoadW float64
 	// StartCharged starts the capacitor at the 4.1 V threshold.
 	StartCharged bool
