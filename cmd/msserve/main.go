@@ -2,7 +2,9 @@
 // deployment jobs as JSON over HTTP, runs many of them concurrently
 // against one shared worker pool with admission control and per-job
 // budgets, and streams results as NDJSON. Job results are byte-identical
-// to standalone msfleet runs with the same (seed, config).
+// to standalone msfleet runs with the same (seed, config), so a repeat
+// of a retained done job's config is served its stored result without
+// simulating. The 1024 most recently finished jobs are retained.
 //
 // Usage:
 //
@@ -100,7 +102,7 @@ func main() {
 	}
 	stop() // a second signal kills the process the default way
 
-	lg.Info("draining", "budget", *drainTO, "jobs", len(mgr.Jobs()))
+	lg.Info("draining", "budget", *drainTO, "jobs", mgr.Health().Jobs)
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTO)
 	mgr.Drain(drainCtx)
 	cancel()

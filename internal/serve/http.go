@@ -22,9 +22,11 @@ const maxJobBodyBytes = 64 << 10
 //	POST /jobs             submit a JobConfig (JSON body of at most
 //	                       maxJobBodyBytes, else 413) → 202 + status;
 //	                       ?wait=1 streams NDJSON events until the job
-//	                       finishes, ending with the result line
-//	GET  /jobs             every job's status, submission order
-//	GET  /jobs/{id}        one job's status
+//	                       finishes, ending with the result line; a
+//	                       repeat of a retained done config is done at
+//	                       once (see Manager.Submit)
+//	GET  /jobs             the retained jobs' statuses, submission order
+//	GET  /jobs/{id}        one job's status (404 once evicted)
 //	GET  /jobs/{id}/result NDJSON stream: status lines, then one
 //	                       {"event":"result","result":{...}} line whose
 //	                       result bytes equal a standalone msfleet run
@@ -65,12 +67,15 @@ func Handler(m *Manager, reg *obs.Registry) http.Handler {
 			http.Error(w, "bad job config: "+err.Error(), http.StatusBadRequest)
 			return
 		}
+		// Read before Submit, so that nothing runs between a reused
+		// job's root span and its stream span.
+		wait := r.URL.Query().Get("wait") == "1"
 		job, err := m.Submit(jc)
 		if err != nil {
 			http.Error(w, err.Error(), submitStatus(err))
 			return
 		}
-		if r.URL.Query().Get("wait") == "1" {
+		if wait {
 			streamJob(m, w, r, job)
 			return
 		}
@@ -105,11 +110,14 @@ func Handler(m *Manager, reg *obs.Registry) http.Handler {
 		streamJob(m, w, r, job)
 	})
 	mux.HandleFunc("POST /jobs/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
-		if err := m.Cancel(r.PathValue("id")); err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
+		// Look the job up once: a terminal job may be evicted at any
+		// moment, so a second lookup after cancelling could miss.
+		job, ok := m.Get(r.PathValue("id"))
+		if !ok {
+			http.Error(w, ErrNotFound.Error(), http.StatusNotFound)
 			return
 		}
-		job, _ := m.Get(r.PathValue("id"))
+		job.Cancel()
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		writeJSON(w, job.Status())
 	})
@@ -249,8 +257,8 @@ func streamJob(m *Manager, w http.ResponseWriter, r *http.Request, job *Job) {
 	sp := job.StreamSpan()
 	t0 := time.Now()
 	defer func() {
-		sp.End()
 		m.lat.stream.Observe(float64(time.Since(t0)) / 1e6)
+		sp.End()
 	}()
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
 	flusher, _ := w.(http.Flusher)

@@ -155,8 +155,8 @@ func (jc JobConfig) FleetConfig() (fleet.Config, error) {
 }
 
 // BenchJobs returns n small deployment jobs cycling scenarios and
-// seeds — the fixed workload shared by BenchmarkServeConcurrentJobs
-// and the msbench "serve" section, so both report the same jobs.
+// seeds — the fixed workload shared by the serve benchmarks and the
+// msbench "serve" section, so all report the same job shape.
 func BenchJobs(n int) []JobConfig {
 	scenarios := []string{"home", "office", "cafe", "warehouse"}
 	jobs := make([]JobConfig, n)

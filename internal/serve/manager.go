@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,6 +66,12 @@ type Limits struct {
 	MaxPackets int
 }
 
+// maxRetained caps the terminal jobs a Manager keeps for lookup, listing
+// and result reuse, the same as MaxQueue's default. Past it the job that
+// finished first is evicted and its ID answers ErrNotFound; pending and
+// running jobs are never evicted.
+const maxRetained = 1024
+
 func (l Limits) withDefaults() Limits {
 	if l.MaxRunning <= 0 {
 		l.MaxRunning = 2 * runtime.GOMAXPROCS(0)
@@ -111,6 +119,9 @@ type Config struct {
 	// use it to pin jobs deterministically in flight. Unexported: only
 	// package tests can set it.
 	testGate chan struct{}
+	// testRetained, when positive, replaces maxRetained, so that tests
+	// can watch eviction with a handful of jobs.
+	testRetained int
 }
 
 // Job is one deployment job owned by a Manager. All exported methods
@@ -141,6 +152,16 @@ type Job struct {
 	spanQueued *obs.Span
 	spanRun    *obs.Span
 
+	// reusedFrom is the ID of the job whose run produced this job's
+	// result when Submit served it from the reuse index ("" for a job
+	// that ran). Immutable after Submit.
+	reusedFrom string
+
+	// mgr is the owning manager, and seq the job's submission number
+	// ("job-<seq>"), which orders Manager.Jobs.
+	mgr *Manager
+	seq int
+
 	done chan struct{}
 }
 
@@ -154,7 +175,9 @@ func (j *Job) State() State {
 	return j.state
 }
 
-// Result returns the fleet result (nil unless state is done).
+// Result returns the fleet result (nil unless state is done). It is
+// immutable once the job is done and may be shared with other jobs of
+// the same config, so callers must only read it.
 func (j *Job) Result() *fleet.Result {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -164,6 +187,7 @@ func (j *Job) Result() *fleet.Result {
 // ResultJSON returns the result as compact JSON bytes (nil unless
 // done). The bytes equal json.Marshal of a standalone fleet.Run with
 // the same (seed, config) — the service's reproducibility contract.
+// Like Result they are immutable and may be shared: read only.
 func (j *Job) ResultJSON() []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -211,6 +235,9 @@ type JobStatus struct {
 	SubmittedAt string    `json:"submitted_at"`
 	StartedAt   string    `json:"started_at,omitempty"`
 	FinishedAt  string    `json:"finished_at,omitempty"`
+	// ReusedFrom names the job whose run produced this job's result when
+	// the job was served from an earlier identical one without running.
+	ReusedFrom string `json:"reused_from,omitempty"`
 	// WallMS is the job's run time so far (running) or total (terminal).
 	WallMS float64 `json:"wall_ms,omitempty"`
 	Error  string  `json:"error,omitempty"`
@@ -228,6 +255,7 @@ func (j *Job) Status() JobStatus {
 		State:       j.state,
 		Config:      j.Config,
 		SubmittedAt: j.submitted.Format(time.RFC3339Nano),
+		ReusedFrom:  j.reusedFrom,
 		Error:       j.err,
 	}
 	if !j.started.IsZero() {
@@ -249,8 +277,8 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// start moves pending → running and installs the cancel func; false
-// when the job was cancelled while queued.
+// start moves pending → running, counts the job running, and installs
+// the cancel func; false when the job was cancelled while queued.
 func (j *Job) start(cancel context.CancelFunc) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -258,6 +286,7 @@ func (j *Job) start(cancel context.CancelFunc) bool {
 		return false
 	}
 	j.state = StateRunning
+	j.mgr.running.Set(float64(j.mgr.runningN.Add(1)))
 	j.started = time.Now()
 	j.cancel = cancel
 	j.spanQueued.End()
@@ -292,6 +321,7 @@ func (j *Job) Cancel() {
 		j.finished = time.Now()
 		j.closeSpansLocked()
 		j.mu.Unlock()
+		j.mgr.retire(j, StateCancelled, false)
 		close(j.done)
 		return
 	}
@@ -315,11 +345,20 @@ type Manager struct {
 	runnerWG   sync.WaitGroup
 	drainOnce  sync.Once
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []*Job
+	mu   sync.Mutex
+	jobs map[string]*Job // retained jobs by ID
+	// finished holds the retained terminal jobs in the order they
+	// finished, oldest first: the eviction queue, at most retained long.
+	finished []*Job
+	retained int // maxRetained, or Config.testRetained
+	// results is the reuse index: for each normalized config, the newest
+	// retained done job whose result a repeat may share.
+	results  map[JobConfig]*Job
 	seq      int
 	draining bool
+	// inFlight counts admitted jobs that are not terminal yet, so that
+	// Health need not visit them.
+	inFlight int
 	// busySince/busyTotal track time spent in overload: busySince is set
 	// on the first ErrBusy rejection and cleared (accumulating into
 	// busyTotal) by the next successful enqueue. Guarded by mu.
@@ -332,6 +371,8 @@ type Manager struct {
 	// startGate mirrors Config.testGate; see there.
 	startGate chan struct{}
 
+	// runningN counts jobs in the running state: Job.start adds one, and
+	// retire takes it off under mu.
 	runningN atomic.Int64
 	running  *obs.Gauge
 	queued   *obs.Gauge
@@ -365,11 +406,16 @@ func NewManager(cfg Config) *Manager {
 		baseCancel: cancel,
 		queue:      make(chan *Job, lim.MaxQueue),
 		jobs:       map[string]*Job{},
+		retained:   maxRetained,
+		results:    map[JobConfig]*Job{},
 		merged:     obs.Snapshot{Counters: map[string]int64{}},
 		startGate:  cfg.testGate,
 		running:    cfg.Obs.Gauge("serve.jobs_running"),
 		queued:     cfg.Obs.Gauge("serve.jobs_queued"),
 		created:    time.Now(),
+	}
+	if cfg.testRetained > 0 {
+		m.retained = cfg.testRetained
 	}
 	m.lat.queueWait = cfg.Obs.Histogram("serve.latency.queue_wait_ms", obs.LatencyBucketsMS())
 	m.lat.run = cfg.Obs.Histogram("serve.latency.run_ms", obs.LatencyBucketsMS())
@@ -400,7 +446,9 @@ func (m *Manager) Limits() Limits { return m.limits }
 func (m *Manager) Pool() *fleet.Pool { return m.pool }
 
 // Submit admits a job: validates it against the limits, assigns an ID,
-// and queues it. The returned Job is live immediately.
+// and queues it. The returned Job is live immediately. A config equal
+// to that of a retained done job is not queued: the new job is done on
+// return and shares that job's result (see reuseLocked).
 func (m *Manager) Submit(jc JobConfig) (*Job, error) {
 	jc.Normalize()
 	if err := m.admit(jc); err != nil {
@@ -413,18 +461,17 @@ func (m *Manager) Submit(jc JobConfig) (*Job, error) {
 		m.obs.Counter("serve.jobs_rejected").Inc()
 		return nil, ErrDraining
 	}
-	m.seq++
-	job := &Job{
-		ID:        fmt.Sprintf("job-%d", m.seq),
-		Config:    jc,
-		state:     StatePending,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
-		spans:     obs.NewSpanRecorder(),
+	if src := m.results[jc]; src != nil {
+		job := m.reuseLocked(jc, src)
+		m.mu.Unlock()
+		// The root span ends after the unlock, which can stall when it
+		// hands m.mu to a waiter, so that the job's timeline covers all of
+		// its admission; Done closes once the timeline is complete.
+		job.spanRoot.End()
+		close(job.done)
+		return job, nil
 	}
-	job.spanRoot = job.spans.Start("job", nil)
-	job.spanRoot.SetAttr("id", job.ID)
-	job.spanRoot.SetAttr("scenario", jc.Scenario)
+	job := m.newJobLocked(jc, StatePending)
 	job.spanQueued = job.spans.Start("queued", job.spanRoot)
 	select {
 	case m.queue <- job:
@@ -443,11 +490,58 @@ func (m *Manager) Submit(jc JobConfig) (*Job, error) {
 		return nil, ErrBusy
 	}
 	m.jobs[job.ID] = job
-	m.order = append(m.order, job)
+	m.inFlight++
 	m.mu.Unlock()
 	m.obs.Counter("serve.jobs_submitted").Inc()
 	m.queued.Set(float64(len(m.queue)))
 	return job, nil
+}
+
+// reuseLocked creates a job for a repeat of src's config that is done
+// at admission: it shares src's result and result bytes, never enters
+// the queue, and its timeline is a root "job" span with a "reused"
+// attribute and no "queued" or "running" child; Submit ends that span
+// and then closes Done. Its metrics snapshot stays empty, since it
+// simulated nothing. Callers hold m.mu, so the job's counters are
+// recorded before anyone else can see it.
+func (m *Manager) reuseLocked(jc JobConfig, src *Job) *Job {
+	// A done job's result fields are immutable, and finishJob published
+	// src to the index under m.mu after setting them.
+	job := m.newJobLocked(jc, StateDone)
+	job.finished = job.submitted
+	job.result, job.resultRaw = src.result, src.resultRaw
+	job.reusedFrom = src.reusedFrom
+	if job.reusedFrom == "" {
+		job.reusedFrom = src.ID
+	}
+	m.obs.Counter("serve.jobs_submitted").Inc()
+	m.obs.Counter("serve.jobs_reused").Inc()
+	m.lat.e2e.Observe(0)
+	job.spanRoot.SetAttr("reused", job.reusedFrom)
+	job.spanRoot.SetAttr("state", string(StateDone))
+	m.jobs[job.ID] = job
+	m.finishedLocked(job, StateDone)
+	return job
+}
+
+// newJobLocked assigns the next job ID and opens the job's root span.
+// Callers hold m.mu.
+func (m *Manager) newJobLocked(jc JobConfig, state State) *Job {
+	m.seq++
+	job := &Job{
+		ID:        fmt.Sprintf("job-%d", m.seq),
+		seq:       m.seq,
+		Config:    jc,
+		state:     state,
+		submitted: time.Now(),
+		done:      make(chan struct{}),
+		spans:     obs.NewSpanRecorder(),
+		mgr:       m,
+	}
+	job.spanRoot = job.spans.Start("job", nil)
+	job.spanRoot.SetAttr("id", job.ID)
+	job.spanRoot.SetAttr("scenario", jc.Scenario)
+	return job
 }
 
 // admit checks a normalized config against the limits.
@@ -481,7 +575,8 @@ func (m *Manager) admit(jc JobConfig) error {
 	return nil
 }
 
-// Get returns a job by ID.
+// Get returns a retained job by ID; an evicted or unknown ID reports
+// false.
 func (m *Manager) Get(id string) (*Job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -489,11 +584,62 @@ func (m *Manager) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns every job in submission order.
+// Jobs returns the retained jobs in submission order: every pending and
+// running job, and the last maxRetained jobs to finish.
 func (m *Manager) Jobs() []*Job {
 	m.mu.Lock()
+	out := make([]*Job, 0, len(m.jobs))
+	for _, j := range m.jobs {
+		out = append(out, j)
+	}
+	m.mu.Unlock()
+	slices.SortFunc(out, func(a, b *Job) int { return cmp.Compare(a.seq, b.seq) })
+	return out
+}
+
+// retire books the terminal transition of an admitted job: it is no
+// longer in flight (nor running, if it started), and finishedLocked
+// takes it from there. Callers hold no job lock.
+func (m *Manager) retire(job *Job, state State, started bool) {
+	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]*Job(nil), m.order...)
+	m.inFlight--
+	if started {
+		m.running.Set(float64(m.runningN.Add(-1)))
+	}
+	m.finishedLocked(job, state)
+}
+
+// finishedLocked counts a job that has just become terminal in state,
+// makes it the reuse source for its config if it is done, and evicts the
+// oldest terminal jobs past the retention limit: an evicted job leaves
+// the ID index, and the reuse index if it is still the entry for its
+// config. Callers hold m.mu.
+func (m *Manager) finishedLocked(job *Job, state State) {
+	switch state {
+	case StateDone:
+		m.obs.Counter("serve.jobs_done").Inc()
+		// A traced job asked for a fresh flight recording, so it is never
+		// served again. A config with a NaN field is not equal to itself:
+		// as a map key it could never be found or deleted.
+		if jc := job.Config; jc.TraceSample == 0 && jc == jc {
+			m.results[jc] = job
+		}
+	case StateFailed:
+		m.obs.Counter("serve.jobs_failed").Inc()
+	default:
+		m.obs.Counter("serve.jobs_cancelled").Inc()
+	}
+	m.finished = append(m.finished, job)
+	for len(m.finished) > m.retained {
+		old := m.finished[0]
+		delete(m.jobs, old.ID)
+		if m.results[old.Config] == old {
+			delete(m.results, old.Config)
+		}
+		m.finished[0] = nil
+		m.finished = m.finished[1:]
+	}
 }
 
 // Cancel cancels the identified job.
@@ -539,7 +685,11 @@ func (m *Manager) SampleTelemetry() { m.sampler.SampleNow() }
 // history. Status is "ok" or "draining"; Overloaded is true while the
 // queue is rejecting with ErrBusy (set on the first busy rejection,
 // cleared by the next successful enqueue), and BusyMS accumulates
-// total time spent in that state.
+// total time spent in that state. Jobs is the number of retained jobs;
+// JobsPending and JobsRunning are the jobs in those states now, and
+// JobsDone, JobsFailed and JobsCancelled read the serve.jobs_done,
+// serve.jobs_failed and serve.jobs_cancelled counters: every job that
+// reached that state, evicted or not.
 type Health struct {
 	Status        string  `json:"status"`
 	Draining      bool    `json:"draining"`
@@ -559,14 +709,22 @@ type Health struct {
 	Goroutines    int     `json:"goroutines"`
 }
 
-// Health snapshots the manager's runtime health.
+// Health snapshots the manager's runtime health from its counters,
+// without visiting any job. The terminal counters move under m.mu
+// (finishedLocked), so each job is either in flight or tallied.
 func (m *Manager) Health() Health {
 	m.mu.Lock()
+	running := int(m.runningN.Load())
 	h := Health{
 		Status:        "ok",
 		Draining:      m.draining,
 		UptimeMS:      float64(time.Since(m.created)) / 1e6,
-		Jobs:          len(m.order),
+		Jobs:          len(m.jobs),
+		JobsPending:   m.inFlight - running,
+		JobsRunning:   running,
+		JobsDone:      int(m.obs.Counter("serve.jobs_done").Load()),
+		JobsFailed:    int(m.obs.Counter("serve.jobs_failed").Load()),
+		JobsCancelled: int(m.obs.Counter("serve.jobs_cancelled").Load()),
 		QueueDepth:    len(m.queue),
 		QueueCapacity: m.limits.MaxQueue,
 		MaxRunning:    m.limits.MaxRunning,
@@ -577,24 +735,9 @@ func (m *Manager) Health() Health {
 	if !m.busySince.IsZero() {
 		h.BusyMS += float64(time.Since(m.busySince)) / 1e6
 	}
-	order := append([]*Job(nil), m.order...)
 	m.mu.Unlock()
 	if h.Draining {
 		h.Status = "draining"
-	}
-	for _, j := range order {
-		switch j.State() {
-		case StatePending:
-			h.JobsPending++
-		case StateRunning:
-			h.JobsRunning++
-		case StateDone:
-			h.JobsDone++
-		case StateFailed:
-			h.JobsFailed++
-		case StateCancelled:
-			h.JobsCancelled++
-		}
 	}
 	h.Goroutines = runtime.NumGoroutine()
 	return h
@@ -621,8 +764,6 @@ func (m *Manager) runJob(job *Job) {
 	if m.startGate != nil {
 		<-m.startGate
 	}
-	m.running.Set(float64(m.runningN.Add(1)))
-	defer func() { m.running.Set(float64(m.runningN.Add(-1))) }()
 	t0 := time.Now()
 	defer m.obs.Stage("serve.job").ObserveSince(t0)
 
@@ -664,7 +805,7 @@ func (m *Manager) runJob(job *Job) {
 }
 
 // finishJob records the outcome on the job, folds its metrics into the
-// merged snapshot, and bumps the service counters.
+// merged snapshot, bumps the service counters, and retires the job.
 func (m *Manager) finishJob(job *Job, res *fleet.Result, raw []byte, snap obs.Snapshot, evs []ptrace.Event, err error) {
 	job.mu.Lock()
 	job.finished = time.Now()
@@ -703,20 +844,15 @@ func (m *Manager) finishJob(job *Job, res *fleet.Result, raw []byte, snap obs.Sn
 	m.merged = m.merged.Merge(snap)
 	m.mergedMu.Unlock()
 
-	switch state {
-	case StateDone:
-		m.obs.Counter("serve.jobs_done").Inc()
+	if state == StateDone {
 		m.obs.Counter("serve.packets_simulated").Add(int64(res.Events))
 		var bits int64
 		for _, pt := range res.PerProtocol {
 			bits += int64(pt.TagBits)
 		}
 		m.obs.Counter("serve.tag_bits_delivered").Add(bits)
-	case StateCancelled:
-		m.obs.Counter("serve.jobs_cancelled").Inc()
-	default:
-		m.obs.Counter("serve.jobs_failed").Inc()
 	}
+	m.retire(job, state, true)
 }
 
 // Drain stops admission, lets queued and running jobs finish, and —

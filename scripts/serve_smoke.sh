@@ -2,8 +2,9 @@
 # End-to-end smoke test for the fleet service: build msserve, msfleet and
 # msload with the race detector, start the server on an ephemeral port,
 # drive it with msload, and assert that every job result is byte-identical
-# to a standalone msfleet run with the same (seed, config). Finishes by
-# checking graceful SIGTERM drain (exit 0).
+# to a standalone msfleet run with the same (seed, config). A repeat of the
+# first job must then be served from the stored result, byte-identical
+# too. Finishes by checking graceful SIGTERM drain (exit 0).
 #
 # Knobs (env): MS_SMOKE_JOBS (default 6), MS_SMOKE_SEED (default 7).
 # MS_SMOKE_ARTIFACTS, when set to a directory, receives a telemetry
@@ -88,6 +89,15 @@ grep -q '"jobs_done": '"$JOBS" "$WORK/healthz.json"
 grep -q '"serve.jobs_running"' "$WORK/history.json"
 grep -q '"name": "job"' "$WORK/spans.json"
 grep -q '"state": "done"' "$WORK/spans.json"
+
+echo "== result reuse: resubmit seed $SEED, served from the stored result"
+"$WORK/msload" -server "$ADDR" -jobs 1 -concurrency 1 \
+    -scenario "$SCENARIO" -tags "$TAGS" -floor "$FLOOR" -span "$SPAN" \
+    -seed "$SEED" -out "$WORK/again"
+cmp "$WORK/golden-seed$SEED.json" "$WORK/again/job-seed$SEED.json"
+curl -sf "http://$ADDR/metrics/prom" > "$WORK/prom-reuse.txt"
+grep -q "^serve_jobs_reused_total 1\$" "$WORK/prom-reuse.txt"
+echo "   reused result byte-identical"
 if [ -n "${MS_SMOKE_ARTIFACTS:-}" ]; then
     mkdir -p "$MS_SMOKE_ARTIFACTS"
     cp "$WORK/prom.txt" "$WORK/healthz.json" "$WORK/history.json" \
