@@ -10,6 +10,7 @@
 #                       (opt-in, minutes; fails only on a regression on matching hardware)
 #   make bench-compare  msbench metrics vs committed BENCH_<date>.json baseline
 #   make profile        CPU+heap profile of BenchmarkFleet1000Tags, top-10 flat
+#   make profile-pipeline  CPU+heap profile of BenchmarkPipelineRound, top-10 flat
 #   make obs-demo       short fleet run with the -obs endpoint up, scraped with curl
 #   make trace-demo     seeded fleet run exporting a Perfetto-loadable trace
 #   make serve-demo     msserve + msload end-to-end byte-identical smoke (scripts/serve_smoke.sh)
@@ -20,7 +21,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race msperf-test check replay-diff fuzz bench perf-gate bench-compare profile obs-demo trace-demo serve-demo serve-smoke fig15-demo fig16-demo docs-check
+.PHONY: all build vet test race msperf-test check replay-diff fuzz bench perf-gate bench-compare profile profile-pipeline obs-demo trace-demo serve-demo serve-smoke fig15-demo fig16-demo docs-check
 
 all: check
 
@@ -83,6 +84,18 @@ profile:
 	$(GO) tool pprof -top -nodecount=10 /tmp/fleet-cpu.prof
 	@echo "-- top-10 flat heap (alloc_space) --"
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space /tmp/fleet-mem.prof
+
+# Profiles one round of the waveform pipeline (a packet per protocol
+# through plan, build, identify, tag, impair, recover and decode: msperf's
+# pipeline workload) and prints the top-10 flat CPU and allocated bytes.
+# Profiles land in /tmp: `go tool pprof /tmp/pipeline-cpu.prof`.
+profile-pipeline:
+	$(GO) test -run - -bench 'BenchmarkPipelineRound' -benchtime 200x -benchmem \
+		-cpuprofile /tmp/pipeline-cpu.prof -memprofile /tmp/pipeline-mem.prof ./
+	@echo "-- top-10 flat CPU --"
+	$(GO) tool pprof -top -nodecount=10 /tmp/pipeline-cpu.prof
+	@echo "-- top-10 flat heap (alloc_space) --"
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space /tmp/pipeline-mem.prof
 
 # Runs a short fleet with the observability endpoint up, scrapes it, and
 # lets the run finish: a smoke test for -obs and a copy-paste example.

@@ -41,10 +41,18 @@ func NewADC(rate float64) *ADC {
 // quantizes each sample to the configured resolution, returning the
 // reconstructed voltages (quantized, in volts).
 func (a *ADC) Sample(v []float64, inRate float64) []float64 {
-	if a.Rate <= 0 || inRate <= 0 || len(v) == 0 {
+	return a.SampleAt(len(v), inRate, func(j int) float64 { return v[j] })
+}
+
+// SampleAt is Sample over an n-sample input at inRate read through
+// at(j): the resampler calls at only for the input samples it
+// interpolates (dsp.ResampleLinearAt), so a caller can compute just
+// those. The noise draws and quantization are Sample's.
+func (a *ADC) SampleAt(n int, inRate float64, at func(j int) float64) []float64 {
+	if a.Rate <= 0 || inRate <= 0 || n == 0 {
 		return nil
 	}
-	res := dsp.ResampleLinear(v, inRate, a.Rate)
+	res := dsp.ResampleLinearAt(n, inRate, a.Rate, at)
 	noise := a.noiseSigmaVolts()
 	for i, x := range res {
 		if noise > 0 {

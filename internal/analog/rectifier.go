@@ -90,13 +90,21 @@ func (r *Rectifier) DetectIQ(iq []complex128, rate float64) []float64 {
 
 // Detect rectifies an envelope waveform env sampled at rate (Hz).
 func (r *Rectifier) Detect(env []float64, rate float64) []float64 {
+	return r.DetectInto(make([]float64, len(env)), env, rate)
+}
+
+// DetectInto rectifies env into dst (len(env) capacity) and returns
+// dst[:len(env)], or nil when rate ≤ 0 or env is empty. dst may be env
+// itself: each output depends only on the same-index input and the
+// carried capacitor voltage, so rectifying in place is safe.
+func (r *Rectifier) DetectInto(dst, env []float64, rate float64) []float64 {
 	if rate <= 0 || len(env) == 0 {
 		return nil
 	}
 	dt := 1 / rate
 	chargeK := 1 - math.Exp(-dt/maxf(r.ChargeTau, 1e-12))
 	dischargeK := math.Exp(-dt / maxf(r.DischargeTau, 1e-12))
-	out := make([]float64, len(env))
+	out := dst[:len(env)]
 	v := 0.0
 	for i, a := range env {
 		target := r.effectiveInput(a)

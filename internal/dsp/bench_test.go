@@ -31,6 +31,15 @@ func BenchmarkFFT1024(b *testing.B) {
 	}
 }
 
+// BenchmarkFFT4096 times the receiver's sync transform size.
+func BenchmarkFFT4096(b *testing.B) {
+	x := randomIQ(4096, 3)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		FFT(x)
+	}
+}
+
 // BenchmarkFFTPlanVsLegacy pits the planned transform against the legacy
 // direct implementation at the sizes the simulator uses (64 = one OFDM
 // symbol, 1024 = spectrum diagnostics).
@@ -42,14 +51,6 @@ func BenchmarkFFTPlanVsLegacy(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				p.Forward(x)
-			}
-		})
-		b.Run(fmt.Sprintf("plan-split-%d", n), func(b *testing.B) {
-			re := make([]float64, n)
-			im := make([]float64, n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p.ForwardSplit(re, im)
 			}
 		})
 		b.Run(fmt.Sprintf("legacy-%d", n), func(b *testing.B) {

@@ -701,6 +701,55 @@ func TestFIRApplyComplexMatchesFloat(t *testing.T) {
 	}
 }
 
+// TestResampleLinearAtMatchesLegacy pins ResampleLinear, now read
+// through ResampleLinearAt's accessor, to the direct loop it replaced,
+// at the front end's down- and upsampling ratios.
+func TestResampleLinearAtMatchesLegacy(t *testing.T) {
+	legacy := func(x []float64, rateIn, rateOut float64) []float64 {
+		if len(x) == 0 || rateIn <= 0 || rateOut <= 0 {
+			return nil
+		}
+		if rateIn == rateOut {
+			return CloneFloat(x)
+		}
+		n := int(float64(len(x)) * rateOut / rateIn)
+		if n < 1 {
+			n = 1
+		}
+		out := make([]float64, n)
+		step := rateIn / rateOut
+		for i := range out {
+			pos := float64(i) * step
+			j := int(pos)
+			if j >= len(x)-1 {
+				out[i] = x[len(x)-1]
+				continue
+			}
+			frac := pos - float64(j)
+			out[i] = x[j]*(1-frac) + x[j+1]*frac
+		}
+		return out
+	}
+	rates := [][2]float64{{20e6, 2.5e6}, {11e6, 4e6}, {22e6, 20e6}, {8e6, 20e6}, {2e6, 25e6}, {5, 5}, {1e6, 1e3}}
+	for _, n := range []int{0, 1, 2, 7, 1000} {
+		x := make([]float64, n)
+		for i, v := range randomIQ(n, int64(n)) {
+			x[i] = real(v)
+		}
+		for _, r := range rates {
+			got, want := ResampleLinear(x, r[0], r[1]), legacy(x, r[0], r[1])
+			if len(got) != len(want) {
+				t.Fatalf("n=%d %g→%g: %d samples, want %d", n, r[0], r[1], len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d %g→%g sample %d: %v, want %v", n, r[0], r[1], i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestResampleLinearComplex(t *testing.T) {
 	x := []complex128{0, 1 + 1i, 2 + 2i}
 	up := ResampleLinearComplex(x, 1, 2)

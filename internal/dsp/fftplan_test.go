@@ -9,7 +9,7 @@ import (
 // transforms are bit-identical to the legacy direct implementation for
 // every size the simulator uses.
 func TestFFTPlanMatchesDirect(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 8, 16, 64, 128, 256, 1024} {
+	for _, n := range []int{1, 2, 4, 8, 16, 64, 128, 256, 1024, 2048, 4096, 8192} {
 		x := randomIQ(n, int64(100+n))
 
 		got := Clone(x)
@@ -26,35 +26,97 @@ func TestFFTPlanMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestFFTPlanSplitMatchesComplex checks the split real/imag kernel
-// against the interleaved one.
-func TestFFTPlanSplitMatchesComplex(t *testing.T) {
-	for _, n := range []int{2, 8, 64, 512} {
-		x := randomIQ(n, int64(200+n))
-		re := make([]float64, n)
-		im := make([]float64, n)
-		for i, v := range x {
-			re[i], im[i] = real(v), imag(v)
+// transformStaged is the one-stage-per-pass butterfly schedule the
+// paired kernel replaced, kept verbatim as the oracle of
+// TestFFTPlanMatchesStaged.
+func transformStaged(p *FFTPlan, x []complex128, twRe, twIm []float64) {
+	n := p.n
+	for i, j := range p.rev {
+		if int(j) > i {
+			x[i], x[j] = x[j], x[i]
 		}
-		p := PlanFFT(n)
-
-		want := Clone(x)
-		p.Forward(want)
-		p.ForwardSplit(re, im)
-		for i := range want {
-			if re[i] != real(want[i]) || im[i] != imag(want[i]) {
-				t.Fatalf("ForwardSplit n=%d bin %d: got (%v,%v) want %v", n, i, re[i], im[i], want[i])
-			}
-		}
-
-		p.InverseSplit(re, im)
-		p.Inverse(want)
-		for i := range want {
-			if re[i] != real(want[i]) || im[i] != imag(want[i]) {
-				t.Fatalf("InverseSplit n=%d bin %d: got (%v,%v) want %v", n, i, re[i], im[i], want[i])
+	}
+	idx := 0
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		stRe := twRe[idx : idx+half]
+		stIm := twIm[idx : idx+half]
+		idx += half
+		for start := 0; start < n; start += size {
+			lo := x[start : start+half : start+half]
+			hi := x[start+half : start+size : start+size]
+			for k := 0; k < half; k++ {
+				wRe, wIm := stRe[k], stIm[k]
+				a := lo[k]
+				b := hi[k]
+				bRe, bIm := real(b), imag(b)
+				tRe := bRe*wRe - bIm*wIm
+				tIm := bRe*wIm + bIm*wRe
+				aRe, aIm := real(a), imag(a)
+				lo[k] = complex(aRe+tRe, aIm+tIm)
+				hi[k] = complex(aRe-tRe, aIm-tIm)
 			}
 		}
 	}
+}
+
+// TestFFTPlanMatchesStaged pins the paired-stage kernel to the staged
+// schedule bit for bit (math.Float64bits, so signed zeros and NaN
+// payloads count) at every power of two up to 8192, in both directions,
+// on random inputs and on inputs full of exact and signed zeros such as
+// an OFDM symbol's null subcarriers.
+func TestFFTPlanMatchesStaged(t *testing.T) {
+	inputs := map[string]func(n int) []complex128{
+		"random": func(n int) []complex128 { return randomIQ(n, int64(300+n)) },
+		"zeros": func(n int) []complex128 {
+			x := randomIQ(n, int64(400+n))
+			negZero := math.Copysign(0, -1)
+			for i := range x {
+				switch i % 5 {
+				case 0:
+					x[i] = 0
+				case 1:
+					x[i] = complex(negZero, negZero)
+				case 2:
+					x[i] = complex(real(x[i]), negZero)
+				case 3:
+					x[i] = complex(negZero, 0)
+				}
+			}
+			return x
+		},
+		"nonfinite": func(n int) []complex128 {
+			x := randomIQ(n, int64(500+n))
+			x[0] = complex(math.Inf(1), 0)
+			x[n/2] = complex(math.NaN(), math.Inf(-1))
+			return x
+		},
+	}
+	for n := 1; n <= 8192; n <<= 1 {
+		p := PlanFFT(n)
+		for name, gen := range inputs {
+			for _, dir := range []struct {
+				name       string
+				twRe, twIm []float64
+			}{{"forward", p.fwdRe, p.fwdIm}, {"inverse", p.invRe, p.invIm}} {
+				x := gen(n)
+				got := Clone(x)
+				p.transform(got, dir.twRe, dir.twIm)
+				want := Clone(x)
+				transformStaged(p, want, dir.twRe, dir.twIm)
+				for i := range want {
+					if !sameBits(got[i], want[i]) {
+						t.Fatalf("%s %s n=%d bin %d: paired %v staged %v", name, dir.name, n, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
 }
 
 func TestFFTPlanRoundTrip(t *testing.T) {
@@ -150,8 +212,8 @@ func TestRotateEquivalence(t *testing.T) {
 }
 
 // TestFIRIntoMatchesLegacy pins ApplyFloatInto/ApplyInto (edge-split
-// loops) against a literal transcription of the old bounds-checked
-// implementation.
+// loops) and the single-sample ApplyFloatAt against a literal
+// transcription of the old bounds-checked implementation.
 func TestFIRIntoMatchesLegacy(t *testing.T) {
 	for _, taps := range []int{1, 3, 9, 63} {
 		f := NewLowpass(0.12, taps)
@@ -178,6 +240,9 @@ func TestFIRIntoMatchesLegacy(t *testing.T) {
 			for i := range wantF {
 				if gotF[i] != wantF[i] {
 					t.Fatalf("ApplyFloat taps=%d n=%d sample %d: %v vs %v", taps, n, i, gotF[i], wantF[i])
+				}
+				if at := f.ApplyFloatAt(xf, i); math.Float64bits(at) != math.Float64bits(wantF[i]) {
+					t.Fatalf("ApplyFloatAt taps=%d n=%d sample %d: %v vs %v", taps, n, i, at, wantF[i])
 				}
 			}
 

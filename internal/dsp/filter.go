@@ -106,22 +106,7 @@ func (f *FIR) ApplyFloatInto(dst, x []float64) []float64 {
 	taps := f.Taps
 	delay := (len(taps) - 1) / 2
 	dst = dst[:len(x)]
-	// Interior range [lo, hi): every tap index j = i + delay - k stays in
-	// bounds, so the inner loop needs no clipping.
-	lo := len(taps) - 1 - delay
-	hi := len(x) - delay
-	if lo < 0 {
-		lo = 0
-	}
-	if lo > len(x) {
-		lo = len(x)
-	}
-	if hi > len(x) {
-		hi = len(x)
-	}
-	if hi < lo {
-		hi = lo
-	}
+	lo, hi := f.interior(len(x))
 	for i := 0; i < lo; i++ {
 		dst[i] = f.edgeTapFloat(x, i, delay)
 	}
@@ -137,6 +122,45 @@ func (f *FIR) ApplyFloatInto(dst, x []float64) []float64 {
 		dst[i] = f.edgeTapFloat(x, i, delay)
 	}
 	return dst
+}
+
+// ApplyFloatAt returns output sample i of ApplyFloat(x) alone, computed
+// by the same sum (the interior or the zero-padded edge form), so it is
+// bit-identical to ApplyFloat(x)[i]. Callers that keep only some outputs
+// — a resampler reading two inputs per output — skip the rest.
+func (f *FIR) ApplyFloatAt(x []float64, i int) float64 {
+	delay := (len(f.Taps) - 1) / 2
+	if lo, hi := f.interior(len(x)); i < lo || i >= hi {
+		return f.edgeTapFloat(x, i, delay)
+	}
+	var acc float64
+	base := i + delay
+	for k, t := range f.Taps {
+		acc += t * x[base-k]
+	}
+	return acc
+}
+
+// interior returns the output range [lo, hi) of an n-sample signal
+// where every tap index i + delay − k stays in bounds, so the sum needs
+// no clipping.
+func (f *FIR) interior(n int) (lo, hi int) {
+	delay := (len(f.Taps) - 1) / 2
+	lo = len(f.Taps) - 1 - delay
+	hi = n - delay
+	if lo < 0 {
+		lo = 0
+	}
+	if lo > n {
+		lo = n
+	}
+	if hi > n {
+		hi = n
+	}
+	if hi < lo {
+		hi = lo
+	}
+	return lo, hi
 }
 
 func (f *FIR) edgeTapFloat(x []float64, i, delay int) float64 {
@@ -163,20 +187,7 @@ func (f *FIR) ApplyInto(dst, x []complex128) []complex128 {
 	taps := f.Taps
 	delay := (len(taps) - 1) / 2
 	dst = dst[:len(x)]
-	lo := len(taps) - 1 - delay
-	hi := len(x) - delay
-	if lo < 0 {
-		lo = 0
-	}
-	if lo > len(x) {
-		lo = len(x)
-	}
-	if hi > len(x) {
-		hi = len(x)
-	}
-	if hi < lo {
-		hi = lo
-	}
+	lo, hi := f.interior(len(x))
 	for i := 0; i < lo; i++ {
 		dst[i] = f.edgeTap(x, i, delay)
 	}

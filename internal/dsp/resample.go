@@ -24,27 +24,39 @@ func DecimateFloat(x []float64, factor, phase int) []float64 {
 // interpolation. The output covers the same time span as the input.
 // Identical rates return a copy.
 func ResampleLinear(x []float64, rateIn, rateOut float64) []float64 {
-	if len(x) == 0 || rateIn <= 0 || rateOut <= 0 {
+	return ResampleLinearAt(len(x), rateIn, rateOut, func(j int) float64 { return x[j] })
+}
+
+// ResampleLinearAt is ResampleLinear over an n-sample input read through
+// at(j), for inputs computed on demand: it calls at only for the samples
+// the interpolation reads — at most two per output, with non-decreasing
+// j — in the order ResampleLinear reads them, and returns a fresh slice.
+func ResampleLinearAt(n int, rateIn, rateOut float64, at func(j int) float64) []float64 {
+	if n == 0 || rateIn <= 0 || rateOut <= 0 {
 		return nil
 	}
 	if rateIn == rateOut {
-		return CloneFloat(x)
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = at(i)
+		}
+		return out
 	}
-	n := int(float64(len(x)) * rateOut / rateIn)
-	if n < 1 {
-		n = 1
+	m := int(float64(n) * rateOut / rateIn)
+	if m < 1 {
+		m = 1
 	}
-	out := make([]float64, n)
+	out := make([]float64, m)
 	step := rateIn / rateOut
 	for i := range out {
 		pos := float64(i) * step
 		j := int(pos)
-		if j >= len(x)-1 {
-			out[i] = x[len(x)-1]
+		if j >= n-1 {
+			out[i] = at(n - 1)
 			continue
 		}
 		frac := pos - float64(j)
-		out[i] = x[j]*(1-frac) + x[j+1]*frac
+		out[i] = at(j)*(1-frac) + at(j+1)*frac
 	}
 	return out
 }

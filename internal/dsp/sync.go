@@ -1,6 +1,10 @@
 package dsp
 
-import "math"
+import (
+	"math"
+	"runtime"
+	"sync"
+)
 
 // CrossCorrPeak slides the complex reference ref over x and returns the
 // offset with the largest normalized correlation magnitude along with
@@ -51,6 +55,11 @@ const quietWindow = 1e-10
 // offset. E_x(o) comes from a sliding-energy recurrence. Scores agree
 // with the direct sum to about 1e-9, not bit for bit; windows at or
 // below quietWindow of the segment's energy score 0.
+//
+// The candidates are split into min(GOMAXPROCS, len(freqs)) contiguous
+// blocks scored concurrently, each with its own pooled buffer. The
+// result is bitwise the same at any GOMAXPROCS; with one block (one
+// candidate, or GOMAXPROCS 1) no goroutine starts.
 func CrossCorrSearch(x, ref []complex128, maxOffset int, freqs []float64, rate float64) (off, cand int, score float64) {
 	m := len(ref)
 	if m == 0 || len(x) < m || len(freqs) == 0 {
@@ -71,9 +80,11 @@ func CrossCorrSearch(x, ref []complex128, maxOffset int, freqs []float64, rate f
 	n := NextPow2(len(seg))
 	plan := PlanFFT(n)
 
-	// Window energies by the sliding recurrence, and the guard floor.
-	eX := SharedPool.GetFloat(limit + 1)
-	defer SharedPool.PutFloat(eX)
+	// Window energies by the sliding recurrence, and the guard floor;
+	// the score denominators share their buffer.
+	buf := SharedPool.GetFloat(2 * (limit + 1))
+	defer SharedPool.PutFloat(buf)
+	eX, den := buf[:limit+1], buf[limit+1:]
 	var e, eSeg float64
 	for i, v := range seg {
 		p := real(v)*real(v) + imag(v)*imag(v)
@@ -94,6 +105,11 @@ func CrossCorrSearch(x, ref []complex128, maxOffset int, freqs []float64, rate f
 		}
 	}
 	floor := quietWindow * eSeg
+	// The score's denominators, once per offset rather than per
+	// candidate: the same operands, so the same bits.
+	for o, e := range eX {
+		den[o] = math.Sqrt(e * eRef)
+	}
 
 	spec := SharedPool.GetComplex(n)
 	defer SharedPool.PutComplex(spec)
@@ -101,35 +117,90 @@ func CrossCorrSearch(x, ref []complex128, maxOffset int, freqs []float64, rate f
 	clear(spec[len(seg):])
 	plan.Forward(spec)
 
+	s := corrSearch{plan: plan, spec: spec, ref: ref, eX: eX, den: den, floor: floor, rate: rate}
+	w := min(runtime.GOMAXPROCS(0), len(freqs))
+	if w == 1 {
+		best := s.block(freqs, 0)
+		return best.off, best.cand, best.score
+	}
+	// Contiguous candidate blocks, one per core: the caller runs block
+	// 0 while w−1 goroutines run the rest. Each block keeps the serial
+	// tie order within itself (lower candidate, then lower offset), and
+	// merging the winners in block order with a strict > keeps it across
+	// blocks, so the result is the serial one at any GOMAXPROCS.
+	bests := make([]corrBest, w)
+	var wg sync.WaitGroup
+	for b := 1; b < w; b++ {
+		lo, hi := b*len(freqs)/w, (b+1)*len(freqs)/w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bests[b] = s.block(freqs[lo:hi], lo)
+		}()
+	}
+	bests[0] = s.block(freqs[:len(freqs)/w], 0)
+	wg.Wait()
+	best := bests[0]
+	for _, b := range bests[1:] {
+		if b.score > best.score {
+			best = b
+		}
+	}
+	return best.off, best.cand, best.score
+}
+
+// corrSearch is the read-only state CrossCorrSearch's candidate blocks
+// share: the plan, the capture spectrum, the reference and the
+// per-offset window energies and score denominators.
+type corrSearch struct {
+	plan        *FFTPlan
+	spec, ref   []complex128
+	eX, den     []float64
+	floor, rate float64
+}
+
+// corrBest is one block's winner; off and cand are −1 when nothing in
+// the block scored above 0.
+type corrBest struct {
+	off, cand int
+	score     float64
+}
+
+// block scores the candidates freqs, whose first is candidate index
+// first of the whole grid, with its own pooled correlation buffer.
+func (s corrSearch) block(freqs []float64, first int) corrBest {
+	n := s.plan.Len()
+	m := len(s.ref)
+	limit := len(s.eX) - 1
 	corr := SharedPool.GetComplex(n)
 	defer SharedPool.PutComplex(corr)
 	// The inverse transform is left unscaled; 1/n folds into the score.
 	norm := float64(n)
-	off, cand = -1, -1
+	best := corrBest{off: -1, cand: -1}
 	for k, f := range freqs {
-		copy(corr, ref)
+		copy(corr, s.ref)
 		clear(corr[m:])
 		if f != 0 {
-			Rotate(corr[:m], f, rate, 0)
+			Rotate(corr[:m], f, s.rate, 0)
 		}
-		plan.Forward(corr)
+		s.plan.Forward(corr)
 		// X·conj(R): the spectrum of the correlation x ⋆ ref.
 		for i, r := range corr {
-			xv := spec[i]
+			xv := s.spec[i]
 			corr[i] = complex(real(xv)*real(r)+imag(xv)*imag(r), imag(xv)*real(r)-real(xv)*imag(r))
 		}
-		plan.transform(corr, plan.invRe, plan.invIm)
+		s.plan.transform(corr, s.plan.invRe, s.plan.invIm)
 		for o, c := range corr[:limit+1] {
-			if eX[o] <= floor {
+			if s.eX[o] <= s.floor {
 				continue
 			}
-			s := math.Sqrt(real(c)*real(c)+imag(c)*imag(c)) / norm / math.Sqrt(eX[o]*eRef)
-			if s > score {
-				off, cand, score = o, k, s
+			sc := math.Sqrt(real(c)*real(c)+imag(c)*imag(c)) / norm / s.den[o]
+			if sc > best.score {
+				best = corrBest{off: o, cand: first + k, score: sc}
 			}
 		}
 	}
-	return off, cand, score
+	return best
 }
 
 // AutoCorrPlateau computes the normalized lag-L autocorrelation of x at

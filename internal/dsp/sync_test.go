@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -274,5 +275,65 @@ func TestCrossCorrSearchAgreesAboveGuard(t *testing.T) {
 			t.Fatalf("seed %d: peak at %d, want %d", seed, off, at)
 		}
 		checkSearch(t, x, ref, 0, zeroHz, 1, off, 0, score)
+	}
+}
+
+// TestCrossCorrSearchAnyGOMAXPROCS pins the block split: at any
+// GOMAXPROCS the search returns the serial (GOMAXPROCS 1) offset,
+// candidate and score bits. The dup grid repeats the true frequency at
+// candidates 1 and 6, which land in different blocks at every tested
+// GOMAXPROCS, so their scores tie exactly and only a strict merge in
+// block order keeps the lower candidate.
+func TestCrossCorrSearchAnyGOMAXPROCS(t *testing.T) {
+	const rate, cfo, at = 8e6, 12e3, 333
+	rng := rand.New(rand.NewSource(9))
+	ref := make([]complex128, 256)
+	for i := range ref {
+		ref[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	x := make([]complex128, 1500)
+	for i := range x {
+		x[i] = complex(rng.NormFloat64(), rng.NormFloat64()) * 0.05
+	}
+	copy(x[at:], ref)
+	Rotate(x, cfo, rate, 0.4)
+	grid := func(n int, lo, step float64) []float64 {
+		g := make([]float64, n)
+		for k := range g {
+			g[k] = lo + step*float64(k)
+		}
+		return g
+	}
+	grids := map[string][]float64{
+		"1":   {0},
+		"2":   {-5e3, 12e3},
+		"25":  grid(25, -60e3, 5e3),
+		"41":  grid(41, -60e3, 3e3),
+		"dup": {-20e3, cfo, -10e3, 0, 5e3, 10e3, cfo, 20e3},
+	}
+	type result struct {
+		off, cand int
+		bits      uint64
+	}
+	search := func(freqs []float64) result {
+		off, cand, score := CrossCorrSearch(x, ref, 0, freqs, rate)
+		return result{off, cand, math.Float64bits(score)}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	want := map[string]result{}
+	runtime.GOMAXPROCS(1)
+	for name, freqs := range grids {
+		want[name] = search(freqs)
+	}
+	if w := want["dup"]; w.off != at || w.cand != 1 {
+		t.Fatalf("dup grid at GOMAXPROCS 1: offset %d candidate %d, want %d and 1", w.off, w.cand, at)
+	}
+	for _, procs := range []int{2, 3, 4, 7} {
+		runtime.GOMAXPROCS(procs)
+		for name, freqs := range grids {
+			if got := search(freqs); got != want[name] {
+				t.Errorf("GOMAXPROCS %d, grid %s: got %+v, want %+v", procs, name, got, want[name])
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package ofdm
 
 import (
+	"math"
 	"testing"
 
 	"multiscatter/internal/radio"
@@ -29,5 +30,77 @@ func TestDemodulateZeroAlloc(t *testing.T) {
 				t.Fatalf("steady-state Demodulate allocates %v/op, want 0", allocs)
 			}
 		})
+	}
+}
+
+// modulateByAppend is Modulate's waveform built the way it was before
+// the single allocation: every field appended to a nil slice. It is the
+// oracle of TestModulateAllocatesOnce.
+func modulateByAppend(m *Modulator, pkt radio.Packet) []complex128 {
+	var iq []complex128
+	core := m.stfCore
+	for i := 0; i < 160; i++ {
+		iq = append(iq, core[i%FFTSize])
+	}
+	iq = append(iq, m.ltf[FFTSize-32:]...)
+	iq = append(iq, m.ltf...)
+	iq = append(iq, m.ltf...)
+	iq = append(iq, m.lsig...)
+	for i := 0; i < 2; i++ {
+		iq = append(iq, m.htSigSymbol(uint32(0x2C0000+len(pkt.Payload)), i)...)
+	}
+	for i := 0; i < 80; i++ {
+		iq = append(iq, core[i%FFTSize])
+	}
+	iq = append(iq, m.htltf...)
+	coded := radio.BytesToBits(pkt.Payload)
+	if m.cfg.Coded {
+		coded = Puncture(ConvEncode(coded), m.cfg.Rate)
+	}
+	perSym := len(dataSubcarriers) * m.cfg.Modulation.BitsPerSubcarrier()
+	bins := make([]complex128, FFTSize)
+	for off, s := 0, 0; off < len(coded); off, s = off+perSym, s+1 {
+		iq = m.appendDataSymbol(iq, bins, coded[off:min(off+perSym, len(coded))], s)
+	}
+	return iq
+}
+
+// TestModulateAllocatesOnce pins Modulate's single waveform allocation:
+// the capacity is exactly the frame's length, and the samples are
+// bitwise those of the frame built by appending, for uncoded and coded
+// configurations and payloads from empty to many symbols.
+func TestModulateAllocatesOnce(t *testing.T) {
+	configs := []Config{
+		{Modulation: BPSK},
+		{Modulation: QAM16},
+		{Modulation: BPSK, Coded: true},
+		{Modulation: QPSK, Coded: true, Rate: R34},
+	}
+	for _, cfg := range configs {
+		m := NewModulator(cfg)
+		for _, n := range []int{0, 1, 6, 300} {
+			payload := make([]byte, n)
+			for i := range payload {
+				payload[i] = byte(i*37 + 11)
+			}
+			pkt := radio.Packet{Protocol: radio.Protocol80211n, Payload: payload}
+			w, info := m.Modulate(pkt)
+			if cap(w.IQ) != len(w.IQ) {
+				t.Errorf("%+v, %d bytes: cap %d, len %d", cfg, n, cap(w.IQ), len(w.IQ))
+			}
+			if info.PreambleEnd != preambleSamples {
+				t.Errorf("%+v: preamble ends at %d, want %d", cfg, info.PreambleEnd, preambleSamples)
+			}
+			want := modulateByAppend(m, pkt)
+			if len(w.IQ) != len(want) {
+				t.Fatalf("%+v, %d bytes: %d samples, want %d", cfg, n, len(w.IQ), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(real(w.IQ[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(w.IQ[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("%+v, %d bytes: sample %d is %v, want %v", cfg, n, i, w.IQ[i], want[i])
+				}
+			}
+		}
 	}
 }

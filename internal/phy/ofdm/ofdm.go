@@ -223,6 +223,10 @@ func ofdmSymbol(freq map[int]complex128) []complex128 {
 	return out
 }
 
+// preambleSamples is the HT-mixed preamble's length: L-STF 160, L-LTF
+// 160, L-SIG 80, HT-SIG 160, HT-STF 80 and HT-LTF 80 samples.
+const preambleSamples = 720
+
 // Modulator synthesizes 802.11n baseband frames. The constant preamble
 // fields (L-STF core, L-LTF, L-SIG, HT-LTF) are synthesized once at
 // construction; per-packet work is the HT-SIG and the data symbols.
@@ -257,7 +261,18 @@ func (m *Modulator) Modulate(pkt radio.Packet) (radio.Waveform, *FrameInfo) {
 		SampleRate:       SampleRate,
 		SamplesPerSymbol: SymbolSamples,
 	}
-	iq := make([]complex128, 0, 1024)
+	// The coded bits fix the symbol count, so the waveform is allocated
+	// once at its final length.
+	bits := radio.BytesToBits(pkt.Payload)
+	info.PayloadBits = len(bits)
+	coded := bits
+	if m.cfg.Coded {
+		coded = Puncture(ConvEncode(bits), m.cfg.Rate)
+	}
+	bpsc := m.cfg.Modulation.BitsPerSubcarrier()
+	perSym := len(dataSubcarriers) * bpsc
+	symbols := (len(coded) + perSym - 1) / perSym
+	iq := make([]complex128, 0, preambleSamples+symbols*SymbolSamples)
 
 	// L-STF: two 8 µs periods built from a symbol with period 16; the
 	// standard transmits 10 repetitions of the 0.8 µs short symbol = 160
@@ -291,14 +306,6 @@ func (m *Modulator) Modulate(pkt radio.Packet) (radio.Waveform, *FrameInfo) {
 
 	// Data field: map each symbol's bits straight into a pooled bin
 	// scratch and append the time-domain samples.
-	bits := radio.BytesToBits(pkt.Payload)
-	info.PayloadBits = len(bits)
-	coded := bits
-	if m.cfg.Coded {
-		coded = Puncture(ConvEncode(bits), m.cfg.Rate)
-	}
-	bpsc := m.cfg.Modulation.BitsPerSubcarrier()
-	perSym := len(dataSubcarriers) * bpsc
 	bins := dsp.SharedPool.GetComplex(FFTSize)
 	defer dsp.SharedPool.PutComplex(bins)
 	for off := 0; off < len(coded); off += perSym {

@@ -115,9 +115,10 @@ type Config struct {
 	HistoryCapacity int
 
 	// testGate, when non-nil, makes every runner block on it after
-	// marking its job running and before entering the engine — tests
-	// use it to pin jobs deterministically in flight. Unexported: only
-	// package tests can set it.
+	// marking its job running and before entering the engine, until it
+	// is closed or the job's context is cancelled — tests use it to pin
+	// jobs deterministically in flight. Unexported: only package tests
+	// can set it.
 	testGate chan struct{}
 	// testRetained, when positive, replaces maxRetained, so that tests
 	// can watch eviction with a handful of jobs.
@@ -762,7 +763,10 @@ func (m *Manager) runJob(job *Job) {
 	}
 	m.lat.queueWait.Observe(float64(job.started.Sub(job.submitted)) / 1e6)
 	if m.startGate != nil {
-		<-m.startGate
+		select {
+		case <-m.startGate:
+		case <-ctx.Done():
+		}
 	}
 	t0 := time.Now()
 	defer m.obs.Stage("serve.job").ObserveSince(t0)

@@ -52,6 +52,10 @@ type FrontEnd struct {
 	aaFilter  *dsp.FIR
 	aaInRate  float64
 	aaADCRate float64
+	// rect is Acquire's input-rate scratch: the envelope, rectified in
+	// place. A FrontEnd therefore serves one Acquire at a time, as the
+	// filter cache above already requires.
+	rect []float64
 }
 
 // NewFrontEnd returns the default acquisition chain at the given ADC rate.
@@ -66,13 +70,19 @@ func NewFrontEnd(adcRate float64) *FrontEnd {
 }
 
 // Acquire runs iq (at the given sample rate) through the front end and
-// returns the ADC sample stream at the ADC rate.
+// returns the ADC sample stream at the ADC rate, in a fresh slice the
+// caller may keep.
+//
+// The anti-alias filter is evaluated only at the input samples the
+// ADC's linear resampler reads, each by the sum FIR.ApplyFloat would
+// compute there, so the stream is bitwise the one the unfused chain
+// (envelope → Detect → ApplyFloat → ADC.Sample) produces.
 func (f *FrontEnd) Acquire(iq []complex128, rate float64) []float64 {
 	if len(iq) == 0 || rate <= 0 {
 		return nil
 	}
-	env := f.envelope(iq, rate)
-	rect := f.Rectifier.Detect(env, rate)
+	f.rect = dsp.GrowFloat(f.rect, len(iq))
+	rect := f.Rectifier.DetectInto(f.rect, f.envelopeInto(f.rect, iq, rate), rate)
 	if !f.NoAntiAlias && f.ADC.Rate < rate {
 		if f.aaFilter == nil || f.aaInRate != rate || f.aaADCRate != f.ADC.Rate {
 			cutoff := 0.4 * f.ADC.Rate / rate
@@ -87,19 +97,31 @@ func (f *FrontEnd) Acquire(iq []complex128, rate float64) []float64 {
 			f.aaInRate = rate
 			f.aaADCRate = f.ADC.Rate
 		}
-		rect = f.aaFilter.ApplyFloat(rect)
+		// Adjacent ADC samples can read the same input sample (the right
+		// end of one interpolation is the left end of the next when the
+		// rates are close); the resampler's indices never decrease, so
+		// remembering the last one computes each filtered sample once.
+		fir := f.aaFilter
+		lastJ, lastV := -1, 0.0
+		return f.ADC.SampleAt(len(rect), rate, func(j int) float64 {
+			if j != lastJ {
+				lastJ, lastV = j, fir.ApplyFloatAt(rect, j)
+			}
+			return lastV
+		})
 	}
-	return f.ADC.Sample(rect, rate)
+	return f.ADC.SampleAt(len(rect), rate, func(j int) float64 { return rect[j] })
 }
 
-// envelope applies the FM→AM tilt and returns the instantaneous envelope.
-func (f *FrontEnd) envelope(iq []complex128, rate float64) []float64 {
+// envelopeInto applies the FM→AM tilt and writes the instantaneous
+// envelope of iq into dst (len(iq) capacity), returning dst[:len(iq)].
+func (f *FrontEnd) envelopeInto(dst []float64, iq []complex128, rate float64) []float64 {
 	scale := f.InputScale
 	if scale <= 0 {
 		scale = 0.1
 	}
 	if f.Slope == 0 {
-		env := dsp.Envelope(iq)
+		env := dsp.EnvelopeInto(dst, iq)
 		for i := range env {
 			env[i] *= scale
 		}
@@ -113,7 +135,7 @@ func (f *FrontEnd) envelope(iq []complex128, rate float64) []float64 {
 	// frequency fi this gives |y| = A·|1 + k·fi/fRef| to first order —
 	// a frequency-proportional amplitude tilt.
 	k := f.Slope / (2 * math.Pi * ref)
-	env := make([]float64, len(iq))
+	env := dst[:len(iq)]
 	for i := range iq {
 		var d complex128
 		switch {
