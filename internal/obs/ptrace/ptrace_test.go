@@ -3,10 +3,15 @@ package ptrace
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "regenerate the Chrome trace golden")
 
 // fill records a deterministic spread of lifecycles across shards.
 func fill(r *Recorder, shards, tagsPerShard, packets int) {
@@ -194,6 +199,54 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 	}
 	if meta == 0 {
 		t.Fatal("chrome trace missing process/thread metadata")
+	}
+}
+
+// chromeGoldenEvents is a fixed stream for the Chrome golden: the fill
+// pattern over two shards, then one lifecycle through every stage on a
+// third shard, a lifecycle with no excite event (its stages get the
+// 1 µs minimum slice), and text that JSON escapes.
+func chromeGoldenEvents() []Event {
+	r := New(Config{})
+	fill(r, 2, 2, 3)
+	evs := r.Drain()
+	for st := StageExcite; st <= StageOutcome; st++ {
+		ev := Event{TUS: 9000, Shard: 2, Tag: 5, Packet: 9, Proto: "BLE", Stage: st, Detail: st.String()}
+		if st == StageExcite {
+			ev.DurUS = 376
+		}
+		evs = append(evs, ev)
+	}
+	evs = append(evs,
+		Event{TUS: 12000, Shard: 2, Tag: 7, Packet: 12, Proto: "ZigBee", Stage: StageDemod, Detail: `rssi=-58.3 <&> "q"`},
+		Event{TUS: 12000, Shard: 0, Tag: 7, Packet: 12, Proto: "802.11b", Stage: StageOutcome, Detail: "lost-downlink"},
+	)
+	for i := range evs {
+		evs[i].Seq = uint64(i)
+	}
+	return evs
+}
+
+// TestChromeTraceGolden pins WriteChromeTrace's bytes on a fixed stream.
+// Regenerate deliberately with `go test ./internal/obs/ptrace -run
+// ChromeTraceGolden -update`.
+func TestChromeTraceGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, "golden <&>", chromeGoldenEvents()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "chrome_golden.json")
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("Chrome trace drifted from %s:\n%s", path, buf.Bytes())
 	}
 }
 

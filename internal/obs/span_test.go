@@ -3,11 +3,16 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
+
+var update = flag.Bool("update", false, "regenerate the span Chrome golden")
 
 // fakeClock returns a deterministic time source advancing 1 ms per call.
 func fakeClock() func() time.Time {
@@ -162,5 +167,42 @@ func TestSpanChromeExport(t *testing.T) {
 		if ev["ph"] != "X" || ev["tid"].(float64) != 1 {
 			t.Fatalf("span event wrong: %v", ev)
 		}
+	}
+}
+
+// TestSpanChromeGolden pins WriteSpanChrome's bytes on fixed spans: two
+// root tracks, a grandchild, an earliest start that is not the first
+// span, an open sub-microsecond span, attributes that shadow "id" and
+// "parent", and text that JSON escapes. Regenerate deliberately with
+// `go test ./internal/obs -run SpanChromeGolden -update`.
+func TestSpanChromeGolden(t *testing.T) {
+	const t0 = int64(1_700_000_000_000_000_000)
+	spans := []SpanSnapshot{
+		{ID: 1, Name: "job", StartUnixNS: t0 + 2_000, EndUnixNS: t0 + 9_502_000, DurNS: 9_500_000,
+			Attrs: map[string]string{"id": "job-1", "state": "done", "scenario": "home"}},
+		{ID: 2, Parent: 1, Name: "queued", StartUnixNS: t0 + 2_500, EndUnixNS: t0 + 40_250, DurNS: 37_750},
+		{ID: 3, Parent: 1, Name: "running", StartUnixNS: t0 + 40_250, EndUnixNS: t0 + 9_000_000, DurNS: 8_959_750},
+		{ID: 4, Parent: 3, Name: "prefill", StartUnixNS: t0 + 50_000, EndUnixNS: t0 + 1_050_000, DurNS: 1_000_000,
+			Attrs: map[string]string{"parent": "shadowed"}},
+		{ID: 5, Name: "op <&>", StartUnixNS: t0, EndUnixNS: t0 + 1_000, DurNS: 1_000,
+			Attrs: map[string]string{"error": `wall-clock "budget" <exceeded>`}},
+		{ID: 6, Parent: 5, Name: "streaming", StartUnixNS: t0 + 900, DurNS: 400},
+	}
+	var buf bytes.Buffer
+	if err := WriteSpanChrome(&buf, "msperf <serve>", spans); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "span_chrome_golden.json")
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("span Chrome trace drifted from %s:\n%s", path, buf.Bytes())
 	}
 }
