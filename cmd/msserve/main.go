@@ -10,8 +10,7 @@
 //
 //	msserve [-addr :8080] [-addr-file path] [-pool 0] [-max-running 0]
 //	        [-max-queue 0] [-max-tags 0] [-max-span 0] [-max-packets 0]
-//	        [-drain 30s] [-history 1s] [-history-capacity 600]
-//	        [-obs :6060] [-v] [-q]
+//	        [-drain 30s] [-obs :6060] [-v] [-q]
 //
 // SIGINT/SIGTERM drains gracefully: admission closes (503), queued and
 // running jobs finish (up to -drain, then they are cancelled), streaming
@@ -47,8 +46,6 @@ var (
 	maxSpan    = flag.Duration("max-span", 0, "per-job simulated-span admission limit (0 = 10m)")
 	maxPackets = flag.Int("max-packets", 0, "default per-job packet budget (0 = 4000000)")
 	drainTO    = flag.Duration("drain", 30*time.Second, "graceful-drain budget on SIGTERM before in-flight jobs are cancelled")
-	history    = flag.Duration("history", 0, "telemetry sampling interval for /metrics/history (0 = 1s)")
-	historyN   = flag.Int("history-capacity", 0, "samples kept per history series (0 = 600)")
 )
 
 func main() {
@@ -65,8 +62,6 @@ func main() {
 			MaxSpan:    *maxSpan,
 			MaxPackets: *maxPackets,
 		},
-		HistoryInterval: *history,
-		HistoryCapacity: *historyN,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -24,7 +24,6 @@ import (
 	"math/bits"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"multiscatter/internal/channel"
@@ -104,10 +103,11 @@ type Config struct {
 	// The result is identical for every value.
 	Workers int
 	// Pool, when non-nil, executes the run's shards on a shared worker
-	// pool instead of spawning Workers goroutines for this run alone —
-	// the multi-deployment service (internal/serve) points every job at
-	// one process-wide Pool. Workers is ignored when Pool is set. The
-	// result is identical either way.
+	// pool — the multi-deployment service (internal/serve) points every
+	// job at one process-wide Pool. When nil, the run starts a private
+	// Pool of min(Workers, shards) workers and closes it before
+	// returning. Workers is ignored when Pool is set. The result is
+	// identical either way.
 	Pool *Pool
 	// MaxEvents, when positive, is the run's packet budget: if the
 	// excitation timeline exceeds it the run fails up front with
@@ -418,11 +418,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		cfg.Obs = obs.Default()
 	}
 	defer cfg.Obs.Stage("fleet.run").ObserveSince(time.Now())
-	if cfg.Pool != nil {
-		cfg.Obs.Gauge("fleet.workers").Set(float64(cfg.Pool.Size()))
-	} else {
-		cfg.Obs.Gauge("fleet.workers").Set(float64(cfg.Workers))
-	}
 	receivers := cfg.Receivers
 	if len(receivers) == 0 {
 		var cx, cy float64
@@ -514,6 +509,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		s := t.id % numShards
 		shardTags[s] = append(shardTags[s], t)
 	}
+	if cfg.Pool == nil {
+		cfg.Pool = NewPool(min(cfg.Workers, numShards))
+		defer cfg.Pool.Close()
+	}
+	cfg.Obs.Gauge("fleet.workers").Set(float64(cfg.Pool.Size()))
 	// The flight recorder shares the shard partition, so each shard's
 	// ring is single-writer and the drained stream cannot depend on the
 	// worker count (see internal/obs/ptrace).
@@ -544,7 +544,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// events reach the shard rings in emission order; an asleep packet
 	// costs a mask test, a bit test and a counter.
 	tIdentify := time.Now()
-	runShards(ctx, cfg.Pool, cfg.Workers, numShards, shardObs(func(shard int) {
+	runShards(ctx, cfg.Pool, numShards, shardObs(func(shard int) {
 		rng := sim.SeedRNG(cfg.Seed+int64(shard), sim.StreamFleetShard)
 		tr := cfg.Trace.Shard(shard)
 		for _, t := range shardTags[shard] {
@@ -640,7 +640,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// Phase 2 — downlink: winners of the contention deliver their
 	// overlay bits if the calibrated link sustains them.
 	tDownlink := time.Now()
-	runShards(ctx, cfg.Pool, cfg.Workers, numShards, shardObs(func(shard int) {
+	runShards(ctx, cfg.Pool, numShards, shardObs(func(shard int) {
 		rng := sim.SeedRNG(cfg.Seed+int64(shard), sim.StreamFleetDownlink)
 		tr := cfg.Trace.Shard(shard)
 		for _, t := range shardTags[shard] {
@@ -740,12 +740,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return res, err
 }
 
-// runShards executes fn(shard) for every shard — on the shared pool
-// when one is given, else on a private pool of workers (sync.WaitGroup
-// + channel). Each shard's work is self-contained, so scheduling order
-// cannot influence results. Once ctx is cancelled the remaining shards
-// are skipped; the caller detects the abort via ctx.Err.
-func runShards(ctx context.Context, pool *Pool, workers, shards int, fn func(shard int)) {
+// runShards executes fn(shard) for every shard on pool. Each shard's
+// work is self-contained, so scheduling order cannot influence results.
+// Once ctx is cancelled the remaining shards are skipped; the caller
+// detects the abort via ctx.Err.
+func runShards(ctx context.Context, pool *Pool, shards int, fn func(shard int)) {
 	run := fn
 	if ctx.Done() != nil {
 		run = func(s int) {
@@ -755,33 +754,5 @@ func runShards(ctx context.Context, pool *Pool, workers, shards int, fn func(sha
 			fn(s)
 		}
 	}
-	if pool != nil {
-		pool.Run(shards, run)
-		return
-	}
-	if workers > shards {
-		workers = shards
-	}
-	if workers <= 1 {
-		for s := 0; s < shards; s++ {
-			run(s)
-		}
-		return
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range next {
-				run(s)
-			}
-		}()
-	}
-	for s := 0; s < shards; s++ {
-		next <- s
-	}
-	close(next)
-	wg.Wait()
+	pool.Run(shards, run)
 }

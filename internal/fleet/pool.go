@@ -13,8 +13,8 @@ import (
 // are not (see Run), so results stay byte-identical whether a run owns
 // its workers or shares a Pool.
 //
-// A nil *Pool is valid in Config and means "private workers per run"
-// (the pre-service behaviour).
+// A nil Pool in Config makes RunContext start a private Pool for the run
+// and close it before returning.
 type Pool struct {
 	tasks chan poolTask
 	wg    sync.WaitGroup

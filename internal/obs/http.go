@@ -6,8 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-
-	"multiscatter/internal/obs/ptrace"
 )
 
 // Handler returns the -obs HTTP handler for reg:
@@ -16,7 +14,6 @@ import (
 //	                ?counters=1 restricts it to the deterministic
 //	                counter subset (Snapshot.CountersOnly)
 //	/metrics.md     the same snapshot rendered as markdown
-//	/trace/last     the last drained flight-recorder stream as JSONL
 //	/debug/pprof/   net/http/pprof profiles (heap, profile, trace, …)
 //	/debug/vars     expvar (Go runtime memstats + cmdline)
 //	/               plain-text index of the above
@@ -39,17 +36,6 @@ func Handler(reg *Registry) http.Handler {
 		w.Header().Set("Content-Type", "text/markdown; charset=utf-8")
 		fmt.Fprint(w, reg.Snapshot().Markdown())
 	})
-	mux.HandleFunc("/trace/last", func(w http.ResponseWriter, _ *http.Request) {
-		evs := ptrace.Last()
-		if len(evs) == 0 {
-			http.Error(w, "no trace recorded (run with -trace or -trace-sample)", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
-		if err := ptrace.WriteJSONL(w, evs); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -63,7 +49,7 @@ func Handler(reg *Registry) http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "multiscatter obs endpoints:")
-		for _, p := range []string{"/metrics", "/metrics.md", "/trace/last", "/debug/pprof/", "/debug/vars"} {
+		for _, p := range []string{"/metrics", "/metrics.md", "/debug/pprof/", "/debug/vars"} {
 			fmt.Fprintln(w, "  "+p)
 		}
 	})

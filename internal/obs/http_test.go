@@ -9,19 +9,16 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"multiscatter/internal/obs/ptrace"
 )
 
 // TestHandlerEndpoints exercises every route the -obs server exposes,
-// including the ?counters=1 deterministic subset and /trace/last.
+// including the ?counters=1 deterministic subset.
 func TestHandlerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("pkts").Add(7)
 	reg.Gauge("level").Set(2.5)
 	reg.Stage("phase").Observe(3 * time.Millisecond)
 
-	ptrace.SetLast(nil)
 	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
 
@@ -74,22 +71,7 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Fatalf("/metrics.md stage table missing min column:\n%s", body)
 	}
 
-	// /trace/last: 404 before any drain, JSONL after.
-	if code, _ = get("/trace/last"); code != http.StatusNotFound {
-		t.Fatalf("/trace/last with no trace: %d, want 404", code)
-	}
-	ptrace.SetLast([]ptrace.Event{{TUS: 42, Proto: "BLE", Stage: ptrace.StageExcite}})
-	defer ptrace.SetLast(nil)
-	code, body = get("/trace/last")
-	if code != http.StatusOK {
-		t.Fatalf("/trace/last: %d", code)
-	}
-	evs, err := ptrace.ReadJSONL(strings.NewReader(body))
-	if err != nil || len(evs) != 1 || evs[0].TUS != 42 {
-		t.Fatalf("/trace/last body: %v %+v", err, evs)
-	}
-
-	if code, body = get("/"); code != http.StatusOK || !strings.Contains(body, "/trace/last") {
+	if code, body = get("/"); code != http.StatusOK || !strings.Contains(body, "/debug/pprof/") {
 		t.Fatalf("index: %d\n%s", code, body)
 	}
 	if code, _ = get("/debug/vars"); code != http.StatusOK {

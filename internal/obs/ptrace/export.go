@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"multiscatter/internal/obs"
 )
 
 // WriteJSONL writes one JSON object per event, in stream order. Field
@@ -37,19 +39,6 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 	}
 }
 
-// chromeEvent is one Chrome trace-event record ("X" complete spans and
-// "M" metadata), the subset Perfetto renders.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	PID  int32          `json:"pid"`
-	TID  int32          `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // WriteChromeTrace renders the stream as Chrome trace-event JSON,
 // loadable directly in https://ui.perfetto.dev: processes are shards
 // (labelled "<label> shard N"), threads are tags, and each lifecycle
@@ -69,21 +58,22 @@ func WriteChromeTrace(w io.Writer, label string, events []Event) error {
 	}
 	seenProc := map[int32]bool{}
 	seenThread := map[lifecycle]bool{}
-	out := make([]chromeEvent, 0, len(events)+16)
+	out := make([]obs.ChromeEvent, 0, len(events)+16)
 	for i := range events {
 		ev := &events[i]
+		pid, tid := int64(ev.Shard), int64(ev.Tag)
 		if !seenProc[ev.Shard] {
 			seenProc[ev.Shard] = true
-			out = append(out, chromeEvent{
-				Name: "process_name", Ph: "M", PID: ev.Shard,
+			out = append(out, obs.ChromeEvent{
+				Name: "process_name", Ph: "M", PID: pid,
 				Args: map[string]any{"name": fmt.Sprintf("%s shard %d", label, ev.Shard)},
 			})
 		}
 		tk := lifecycle{ev.Shard, ev.Tag}
 		if !seenThread[tk] {
 			seenThread[tk] = true
-			out = append(out, chromeEvent{
-				Name: "thread_name", Ph: "M", PID: ev.Shard, TID: ev.Tag,
+			out = append(out, obs.ChromeEvent{
+				Name: "thread_name", Ph: "M", PID: pid, TID: tid,
 				Args: map[string]any{"name": fmt.Sprintf("tag %d", ev.Tag)},
 			})
 		}
@@ -92,19 +82,18 @@ func WriteChromeTrace(w io.Writer, label string, events []Event) error {
 		if slice < 1 {
 			slice = 1
 		}
-		out = append(out, chromeEvent{
+		out = append(out, obs.ChromeEvent{
 			Name: ev.Stage.String(),
 			Cat:  ev.Proto,
 			Ph:   "X",
 			TS:   ev.TUS + int64(ev.Stage)*slice,
 			Dur:  slice,
-			PID:  ev.Shard,
-			TID:  ev.Tag,
+			PID:  pid,
+			TID:  tid,
 			Args: map[string]any{
 				"seq": ev.Seq, "pkt": ev.Packet, "proto": ev.Proto, "detail": ev.Detail,
 			},
 		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": out, "displayTimeUnit": "ms"})
+	return obs.WriteChrome(w, out)
 }

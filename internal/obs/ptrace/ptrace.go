@@ -29,14 +29,17 @@
 //     deterministic as a full one.
 //
 // Export paths: WriteJSONL (one stable JSON object per line, the
-// golden-diffable form), WriteChromeTrace (Chrome trace-event JSON,
-// loadable in https://ui.perfetto.dev), and the obs HTTP endpoint
-// /trace/last (the most recently drained stream, see SetLast).
+// golden-diffable form) and WriteChromeTrace (Chrome trace-event JSON,
+// loadable in https://ui.perfetto.dev, written by obs.WriteChrome).
 // Diff explains the first divergence between two streams down to the
 // packet, tag, and stage — see docs/OBSERVABILITY.md.
 package ptrace
 
-import "sort"
+import (
+	"encoding/json"
+	"fmt"
+	"sort"
+)
 
 // Stage names one step of the per-packet lifecycle, in pipeline order.
 type Stage uint8
@@ -78,16 +81,24 @@ func (s Stage) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + s.String() + `"`), nil
 }
 
-// UnmarshalJSON parses a stage name.
+// UnmarshalJSON parses a stage name. Any value other than one of the
+// seven names is an error; null leaves the stage unchanged, as
+// encoding/json does for other types.
 func (s *Stage) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
+	var name string
+	if err := json.Unmarshal(b, &name); err != nil {
+		return fmt.Errorf("ptrace: stage %s is not a string", b)
+	}
 	for i, n := range stageNames {
-		if string(b) == `"`+n+`"` {
+		if name == n {
 			*s = Stage(i)
 			return nil
 		}
 	}
-	*s = Stage(len(stageNames))
-	return nil
+	return fmt.Errorf("ptrace: unknown stage %q", name)
 }
 
 // Event is one lifecycle record. Every field is deterministic for a

@@ -283,18 +283,6 @@ func TestDiff(t *testing.T) {
 	}
 }
 
-func TestSetLast(t *testing.T) {
-	evs := []Event{{Tag: 1, Packet: 2, Stage: StageOutcome, Detail: "delivered"}}
-	SetLast(evs)
-	if got := Last(); !reflect.DeepEqual(got, evs) {
-		t.Fatalf("Last = %+v, want %+v", got, evs)
-	}
-	SetLast(nil)
-	if Last() != nil {
-		t.Fatal("Last not cleared")
-	}
-}
-
 // BenchmarkRecord measures the per-event cost when tracing is on.
 func BenchmarkRecord(b *testing.B) {
 	r := New(Config{Capacity: 1 << 12})

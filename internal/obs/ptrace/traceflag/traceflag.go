@@ -2,9 +2,8 @@
 // -trace-format flags that give the simulation CLIs the same flight-
 // recorder surface: importing the package adds the flags, Recorder
 // (called after flag.Parse) builds the configured recorder for the
-// engine config, and Finish drains it, publishes the stream on the obs
-// /trace/last endpoint, and writes the requested export format. See
-// docs/OBSERVABILITY.md for the event schema and formats.
+// engine config, and Finish drains it and writes the requested export
+// format. See docs/OBSERVABILITY.md for the event schema and formats.
 package traceflag
 
 import (
@@ -45,9 +44,9 @@ func Recorder(cli string) *ptrace.Recorder {
 	return ptrace.New(ptrace.Config{Sample: *sample})
 }
 
-// Finish drains rec into the canonical event stream, publishes it on
-// the obs /trace/last endpoint, and writes it to the -trace path in the
-// -trace-format encoding. A nil rec (tracing disabled) is a no-op.
+// Finish drains rec into the canonical event stream and writes it to
+// the -trace path in the -trace-format encoding. A nil rec (tracing
+// disabled) is a no-op.
 // Write failures are fatal — a requested but silently missing trace is
 // worse than none.
 func Finish(cli string, rec *ptrace.Recorder) {
@@ -55,8 +54,6 @@ func Finish(cli string, rec *ptrace.Recorder) {
 		return
 	}
 	evs := rec.Drain()
-	ptrace.SetLast(evs)
-
 	out := os.Stdout
 	if *path != "-" {
 		f, err := os.Create(*path)

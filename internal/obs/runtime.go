@@ -4,10 +4,10 @@ import "runtime"
 
 // CollectRuntime samples Go runtime health into gauges on reg — the
 // process-level counterpart of the pipeline metrics. It is a
-// collect-on-demand snapshot: callers (the /metrics/prom scrape path,
-// the tsdb sampler tick) invoke it right before reading the registry,
-// so the gauges are as fresh as the scrape. ReadMemStats costs a brief
-// stop-the-world, which is fine at scrape/tick cadence and far too
+// collect-on-demand snapshot: its caller (msserve's /metrics/prom
+// scrape path) invokes it right before reading the registry, so the
+// gauges are as fresh as the scrape. ReadMemStats costs a brief
+// stop-the-world, which is fine at scrape cadence and far too
 // expensive for any per-packet path.
 //
 // Gauges set:

@@ -187,18 +187,6 @@ func WriteSpanJSONL(w io.Writer, spans []SpanSnapshot) error {
 	return bw.Flush()
 }
 
-// spanChromeEvent mirrors ptrace's Chrome trace-event subset ("X"
-// complete spans, "M" metadata) for span timelines.
-type spanChromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	TS   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	PID  int32          `json:"pid"`
-	TID  int64          `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // WriteSpanChrome renders spans as Chrome trace-event JSON loadable in
 // https://ui.perfetto.dev — the same viewer the ptrace exporter
 // targets, so a job's wall-clock span timeline can be inspected side by
@@ -224,8 +212,8 @@ func WriteSpanChrome(w io.Writer, label string, spans []SpanSnapshot) error {
 		}
 		return id
 	}
-	out := make([]spanChromeEvent, 0, len(spans)+1)
-	out = append(out, spanChromeEvent{
+	out := make([]ChromeEvent, 0, len(spans)+1)
+	out = append(out, ChromeEvent{
 		Name: "process_name", Ph: "M",
 		Args: map[string]any{"name": label},
 	})
@@ -239,7 +227,7 @@ func WriteSpanChrome(w io.Writer, label string, spans []SpanSnapshot) error {
 		if dur < 1 {
 			dur = 1
 		}
-		out = append(out, spanChromeEvent{
+		out = append(out, ChromeEvent{
 			Name: s.Name,
 			Ph:   "X",
 			TS:   (s.StartUnixNS - t0) / 1e3,
@@ -248,8 +236,7 @@ func WriteSpanChrome(w io.Writer, label string, spans []SpanSnapshot) error {
 			Args: args,
 		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": out, "displayTimeUnit": "ms"})
+	return WriteChrome(w, out)
 }
 
 // String renders the span for debugging.

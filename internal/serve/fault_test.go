@@ -42,11 +42,10 @@ func TestStreamClientDisconnect(t *testing.T) {
 			gate := make(chan struct{})
 			reg := obs.NewRegistry()
 			m := NewManager(Config{
-				PoolWorkers:     2,
-				Limits:          Limits{MaxRunning: 1},
-				Obs:             reg,
-				HistoryInterval: -1,
-				testGate:        gate,
+				PoolWorkers: 2,
+				Limits:      Limits{MaxRunning: 1},
+				Obs:         reg,
+				testGate:    gate,
 			})
 			h := Handler(m, reg)
 			srv := httptest.NewServer(h)
@@ -123,10 +122,9 @@ func TestCancelRacesCompletion(t *testing.T) {
 	base := runtime.NumGoroutine()
 	reg := obs.NewRegistry()
 	m := NewManager(Config{
-		PoolWorkers:     2,
-		Limits:          Limits{MaxRunning: 2},
-		Obs:             reg,
-		HistoryInterval: -1,
+		PoolWorkers: 2,
+		Limits:      Limits{MaxRunning: 2},
+		Obs:         reg,
 	})
 	const n = 90
 	jobs := make([]*Job, n)
@@ -201,11 +199,10 @@ func TestSaturationServesHits(t *testing.T) {
 	gate := make(chan struct{})
 	reg := obs.NewRegistry()
 	m := NewManager(Config{
-		PoolWorkers:     2,
-		Limits:          Limits{MaxRunning: 1, MaxQueue: 1},
-		Obs:             reg,
-		HistoryInterval: -1,
-		testGate:        gate,
+		PoolWorkers: 2,
+		Limits:      Limits{MaxRunning: 1, MaxQueue: 1},
+		Obs:         reg,
+		testGate:    gate,
 	})
 	srv := httptest.NewServer(Handler(m, reg))
 	post := func(jc JobConfig, wait bool) (int, []byte) {
@@ -267,4 +264,106 @@ func TestSaturationServesHits(t *testing.T) {
 	srv.Close()
 	m.Close()
 	requireGoroutinesAtMost(t, base)
+}
+
+// blockingWriter is a ResponseWriter whose Write of a result line blocks
+// until release is closed, as a client that stops reading blocks the
+// handler once the connection's buffers fill. blocked closes when that
+// Write begins. Only the handler writes body; read it once the handler
+// has returned.
+type blockingWriter struct {
+	header  http.Header
+	blocked chan struct{}
+	release chan struct{}
+	once    sync.Once
+	body    bytes.Buffer
+}
+
+func newBlockingWriter() *blockingWriter {
+	return &blockingWriter{header: http.Header{}, blocked: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (w *blockingWriter) Header() http.Header { return w.header }
+
+func (w *blockingWriter) WriteHeader(int) {}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(`"event":"result"`)) {
+		w.once.Do(func() { close(w.blocked) })
+		<-w.release
+	}
+	return w.body.Write(p)
+}
+
+// TestSlowReader blocks a ?wait=1 request inside the Write of its result
+// line, on a simulated and on a reused job. While it is blocked, jobs
+// submitted meanwhile must finish on the one runner, Health must show
+// nothing running, and Drain must return; releasing the writer must let
+// the handler return with the job's result, and no goroutine may outlive
+// the manager.
+func TestSlowReader(t *testing.T) {
+	for _, reused := range []bool{false, true} {
+		name := map[bool]string{false: "simulated", true: "reused"}[reused]
+		t.Run(name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			reg := obs.NewRegistry()
+			m := NewManager(Config{PoolWorkers: 2, Limits: Limits{MaxRunning: 1}, Obs: reg})
+			h := Handler(m, reg)
+			if reused {
+				mustRun(t, m, smallJob(1))
+			}
+
+			w := newBlockingWriter()
+			body, _ := json.Marshal(smallJob(1))
+			handlerDone := make(chan struct{})
+			go func() {
+				defer close(handlerDone)
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/jobs?wait=1", bytes.NewReader(body)))
+			}()
+			select {
+			case <-w.blocked:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the result line was never written")
+			}
+
+			for seed := int64(2); seed <= 4; seed++ {
+				mustRun(t, m, smallJob(seed))
+			}
+			if hl := m.Health(); hl.JobsRunning != 0 || hl.JobsPending != 0 {
+				t.Fatalf("health with the reader blocked: %+v", hl)
+			}
+			drained := make(chan struct{})
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				m.Drain(ctx)
+				close(drained)
+			}()
+			select {
+			case <-drained:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Drain did not return while a reader was blocked")
+			}
+
+			close(w.release)
+			select {
+			case <-handlerDone:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the handler did not return after the writer was released")
+			}
+			lines := bytes.Split(bytes.TrimSpace(w.body.Bytes()), []byte("\n"))
+			var ev jobEvent
+			if err := json.Unmarshal(lines[len(lines)-1], &ev); err != nil || ev.Event != "result" {
+				t.Fatalf("stream ends %q (%v)", lines[len(lines)-1], err)
+			}
+			if !bytes.Equal(ev.Result, standaloneJSON(t, smallJob(1))) {
+				t.Fatal("the slow reader's result differs from a standalone run")
+			}
+			if n := reg.Counter("serve.jobs_reused").Load(); n != map[bool]int64{false: 0, true: 1}[reused] {
+				t.Fatalf("serve.jobs_reused = %d", n)
+			}
+			m.Close()
+			requireGoroutinesAtMost(t, base)
+		})
+	}
 }

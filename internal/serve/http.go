@@ -39,12 +39,10 @@ const maxJobBodyBytes = 64 << 10
 //	GET  /metrics/jobs     merged per-job engine metrics across all jobs
 //	GET  /metrics/prom     Prometheus text exposition: service registry
 //	                       + merged job counters + runtime health gauges
-//	GET  /metrics/history  sampled time series (counters, gauges,
-//	                       histogram quantiles) from the telemetry ring
 //	GET  /healthz          structured health: queue depth vs limits,
 //	                       lifecycle tallies, drain state, overload time
-//	/obs/...               the standard obs endpoint (metrics, pprof,
-//	                       trace/last) over the server's registry
+//	/obs/...               the standard obs endpoint (metrics, pprof)
+//	                       over the server's registry
 //
 // Every NDJSON line is flushed as written, so clients see state
 // transitions live.
@@ -196,10 +194,6 @@ func Handler(m *Manager, reg *obs.Registry) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.HandleFunc("GET /metrics/history", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		writeJSON(w, m.History())
-	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		writeJSON(w, m.Health())
@@ -218,7 +212,7 @@ func Handler(m *Manager, reg *obs.Registry) http.Handler {
 			"GET /jobs/{id}/metrics", "GET /jobs/{id}/trace",
 			"GET /jobs/{id}/spans[?format=json|jsonl|chrome]",
 			"GET /metrics", "GET /metrics/jobs", "GET /metrics/prom",
-			"GET /metrics/history", "GET /healthz", "/obs/",
+			"GET /healthz", "/obs/",
 		} {
 			fmt.Fprintln(w, "  "+p)
 		}

@@ -68,7 +68,8 @@ type JobConfig struct {
 	WallBudgetMS int `json:"wall_budget_ms,omitempty"`
 	// TraceSample, when positive, captures a per-packet flight-recorder
 	// trace sampling one in TraceSample packets (1 = every packet),
-	// exposed at /jobs/{id}/trace and on the obs endpoint's /trace/last.
+	// exposed at /jobs/{id}/trace. A traced job always runs: it is never
+	// served from an earlier job's result.
 	TraceSample int `json:"trace_sample,omitempty"`
 	// PhaseMaxDriftHz, when positive, enables the phase-aware complex
 	// channel with this residual drift cap (msfleet's -phase; see

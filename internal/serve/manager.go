@@ -16,7 +16,6 @@ import (
 	"multiscatter/internal/fleet"
 	"multiscatter/internal/obs"
 	"multiscatter/internal/obs/ptrace"
-	"multiscatter/internal/obs/tsdb"
 )
 
 // State is a job's lifecycle state.
@@ -104,15 +103,6 @@ type Config struct {
 	// to per-job registries, snapshotted on the Job and merged into
 	// MergedJobMetrics.
 	Obs *obs.Registry
-
-	// HistoryInterval is the telemetry sampler's tick — every tick the
-	// Obs registry is sampled into the /metrics/history ring. Zero
-	// defaults to 1s; negative disables the ticker (the ring still
-	// fills via Manager.SampleTelemetry, which tests use).
-	HistoryInterval time.Duration
-	// HistoryCapacity bounds each history series; older samples are
-	// overwritten. Zero defaults to 600 (10 min at the 1s default).
-	HistoryCapacity int
 
 	// testGate, when non-nil, makes every runner block on it after
 	// marking its job running and before entering the engine, until it
@@ -379,7 +369,6 @@ type Manager struct {
 	queued   *obs.Gauge
 
 	created time.Time
-	sampler *tsdb.Sampler
 
 	// lat holds the SLO latency histograms, resolved once at
 	// construction (the hot-path rule: never look up by name per job).
@@ -422,15 +411,6 @@ func NewManager(cfg Config) *Manager {
 	m.lat.run = cfg.Obs.Histogram("serve.latency.run_ms", obs.LatencyBucketsMS())
 	m.lat.stream = cfg.Obs.Histogram("serve.latency.stream_ms", obs.LatencyBucketsMS())
 	m.lat.e2e = cfg.Obs.Histogram("serve.latency.e2e_ms", obs.LatencyBucketsMS())
-	m.sampler = tsdb.New(tsdb.Config{
-		Registry: cfg.Obs,
-		Interval: cfg.HistoryInterval,
-		Capacity: cfg.HistoryCapacity,
-		Collect:  obs.CollectRuntime,
-	})
-	if cfg.HistoryInterval >= 0 {
-		m.sampler.Start()
-	}
 	m.obs.Gauge("serve.pool_workers").Set(float64(m.pool.Size()))
 	m.obs.Gauge("serve.queue_capacity").Set(float64(lim.MaxQueue))
 	m.runnerWG.Add(lim.MaxRunning)
@@ -673,14 +653,6 @@ func (m *Manager) Draining() bool {
 // counters, gauges, latency histograms).
 func (m *Manager) Registry() *obs.Registry { return m.obs }
 
-// History returns the telemetry sampler's ring — the /metrics/history
-// payload.
-func (m *Manager) History() tsdb.History { return m.sampler.History() }
-
-// SampleTelemetry takes one manual sampler pass (tests and handlers
-// that want history fresher than the tick).
-func (m *Manager) SampleTelemetry() { m.sampler.SampleNow() }
-
 // Health is the structured /healthz payload: admission pressure
 // against the configured limits, lifecycle tallies, and overload
 // history. Status is "ok" or "draining"; Overloaded is true while the
@@ -803,7 +775,6 @@ func (m *Manager) runJob(job *Job) {
 	var evs []ptrace.Event
 	if err == nil && rec != nil {
 		evs = rec.Drain()
-		ptrace.SetLast(evs)
 	}
 	m.finishJob(job, res, raw, jobReg.Snapshot(), evs, err)
 }
@@ -880,12 +851,10 @@ func (m *Manager) Drain(ctx context.Context) {
 	}
 }
 
-// Close drains with immediate cancellation, stops the telemetry
-// sampler, and releases the pool.
+// Close drains with immediate cancellation and releases the pool.
 func (m *Manager) Close() {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m.Drain(ctx)
-	m.sampler.Stop()
 	m.pool.Close()
 }

@@ -337,11 +337,10 @@ func TestResultReuse(t *testing.T) {
 				gate = make(chan struct{})
 			}
 			m := NewManager(Config{
-				PoolWorkers:     2,
-				Limits:          tc.limits,
-				Obs:             obs.NewRegistry(),
-				HistoryInterval: -1,
-				testGate:        gate,
+				PoolWorkers: 2,
+				Limits:      tc.limits,
+				Obs:         obs.NewRegistry(),
+				testGate:    gate,
 			})
 			defer m.Close()
 			if gate != nil {
@@ -404,10 +403,9 @@ func TestRetentionSoak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	reg := obs.NewRegistry()
 	m := NewManager(Config{
-		PoolWorkers:     2,
-		Obs:             reg,
-		HistoryInterval: -1,
-		testRetained:    retained,
+		PoolWorkers:  2,
+		Obs:          reg,
+		testRetained: retained,
 	})
 	h := Handler(m, reg)
 	do := func(method, path string) *httptest.ResponseRecorder {
@@ -518,12 +516,11 @@ func TestRetentionSoak(t *testing.T) {
 func TestRetentionEvictsOldestFinished(t *testing.T) {
 	gate := make(chan struct{})
 	m := NewManager(Config{
-		PoolWorkers:     2,
-		Limits:          Limits{MaxRunning: 1},
-		Obs:             obs.NewRegistry(),
-		HistoryInterval: -1,
-		testGate:        gate,
-		testRetained:    2,
+		PoolWorkers:  2,
+		Limits:       Limits{MaxRunning: 1},
+		Obs:          obs.NewRegistry(),
+		testGate:     gate,
+		testRetained: 2,
 	})
 	var once sync.Once
 	release := func() { once.Do(func() { close(gate) }) }
@@ -574,7 +571,7 @@ func TestRetentionEvictsOldestFinished(t *testing.T) {
 // while a ?wait=1 stream carries its result in its own response.
 func TestReusedJobsCountTowardRetention(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewManager(Config{PoolWorkers: 2, Obs: reg, HistoryInterval: -1, testRetained: 2})
+	m := NewManager(Config{PoolWorkers: 2, Obs: reg, testRetained: 2})
 	defer m.Close()
 	h := Handler(m, reg)
 	post := func(path string, jc JobConfig) *httptest.ResponseRecorder {

@@ -52,7 +52,7 @@ func requireTimeline(t *testing.T, j *Job, wantState State) map[string]obs.SpanS
 // state — done, failed (packet budget), failed (wall budget), running
 // cancel, pending cancel — and checks the span timeline in each case.
 func TestSpanTimelineTerminalStates(t *testing.T) {
-	m := NewManager(Config{PoolWorkers: 2, Obs: obs.NewRegistry(), HistoryInterval: -1})
+	m := NewManager(Config{PoolWorkers: 2, Obs: obs.NewRegistry()})
 	defer m.Close()
 
 	// done
@@ -98,10 +98,9 @@ func TestSpanTimelineTerminalStates(t *testing.T) {
 func TestSpanTimelineCancelPaths(t *testing.T) {
 	gate := make(chan struct{})
 	m := NewManager(Config{
-		Limits:          Limits{MaxRunning: 1, MaxQueue: 2},
-		Obs:             obs.NewRegistry(),
-		HistoryInterval: -1,
-		testGate:        gate,
+		Limits:   Limits{MaxRunning: 1, MaxQueue: 2},
+		Obs:      obs.NewRegistry(),
+		testGate: gate,
 	})
 	running, err := m.Submit(smallJob(1))
 	if err != nil {
@@ -139,7 +138,7 @@ func TestSpanTimelineCancelPaths(t *testing.T) {
 // job flow and show up in the registry snapshot with sane counts.
 func TestLatencyHistograms(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewManager(Config{PoolWorkers: 2, Obs: reg, HistoryInterval: -1})
+	m := NewManager(Config{PoolWorkers: 2, Obs: reg})
 	defer m.Close()
 	srv := httptest.NewServer(Handler(m, reg))
 	defer srv.Close()
@@ -187,10 +186,9 @@ func TestDrainMidStream(t *testing.T) {
 	gate := make(chan struct{})
 	reg := obs.NewRegistry()
 	m := NewManager(Config{
-		Limits:          Limits{MaxRunning: 1, MaxQueue: 2},
-		Obs:             reg,
-		HistoryInterval: -1,
-		testGate:        gate,
+		Limits:   Limits{MaxRunning: 1, MaxQueue: 2},
+		Obs:      reg,
+		testGate: gate,
 	})
 	srv := httptest.NewServer(Handler(m, reg))
 	defer srv.Close()
@@ -265,7 +263,7 @@ func TestDrainMidStream(t *testing.T) {
 // the accumulated snapshot after completion.
 func TestMergedJobMetricsAccumulate(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewManager(Config{PoolWorkers: 2, Obs: reg, HistoryInterval: -1})
+	m := NewManager(Config{PoolWorkers: 2, Obs: reg})
 	defer m.Close()
 	srv := httptest.NewServer(Handler(m, reg))
 	defer srv.Close()
@@ -308,7 +306,7 @@ func TestMergedJobMetricsAccumulate(t *testing.T) {
 // runtime series all present.
 func TestPromEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewManager(Config{PoolWorkers: 2, Obs: reg, HistoryInterval: -1})
+	m := NewManager(Config{PoolWorkers: 2, Obs: reg})
 	defer m.Close()
 	srv := httptest.NewServer(Handler(m, reg))
 	defer srv.Close()
@@ -354,10 +352,9 @@ func TestPromEndpoint(t *testing.T) {
 func TestHealthzStructured(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewManager(Config{
-		PoolWorkers:     2,
-		Limits:          Limits{MaxRunning: 3, MaxQueue: 7},
-		Obs:             reg,
-		HistoryInterval: -1,
+		PoolWorkers: 2,
+		Limits:      Limits{MaxRunning: 3, MaxQueue: 7},
+		Obs:         reg,
 	})
 	defer m.Close()
 	srv := httptest.NewServer(Handler(m, reg))
@@ -399,10 +396,9 @@ func TestOverloadTracking(t *testing.T) {
 	gate := make(chan struct{})
 	reg := obs.NewRegistry()
 	m := NewManager(Config{
-		Limits:          Limits{MaxRunning: 1, MaxQueue: 1},
-		Obs:             reg,
-		HistoryInterval: -1,
-		testGate:        gate,
+		Limits:   Limits{MaxRunning: 1, MaxQueue: 1},
+		Obs:      reg,
+		testGate: gate,
 	})
 	first, err := m.Submit(smallJob(1))
 	if err != nil {
@@ -441,59 +437,11 @@ func TestOverloadTracking(t *testing.T) {
 	m.Close()
 }
 
-// TestHistoryEndpoint samples manually (ticker disabled) and reads the
-// ring back through /metrics/history.
-func TestHistoryEndpoint(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := NewManager(Config{PoolWorkers: 2, Obs: reg, HistoryInterval: -1, HistoryCapacity: 16})
-	defer m.Close()
-	srv := httptest.NewServer(Handler(m, reg))
-	defer srv.Close()
-
-	j, err := m.Submit(smallJob(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, j)
-	m.SampleTelemetry()
-	m.SampleTelemetry()
-
-	resp, err := http.Get(srv.URL + "/metrics/history")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var hist struct {
-		Capacity int `json:"capacity"`
-		Samples  int `json:"samples"`
-		Series   map[string]struct {
-			TMS []int64   `json:"t_ms"`
-			V   []float64 `json:"v"`
-		} `json:"series"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&hist); err != nil {
-		t.Fatal(err)
-	}
-	if hist.Capacity != 16 || hist.Samples != 2 {
-		t.Fatalf("history meta: %+v", hist)
-	}
-	sd := hist.Series["serve.jobs_done"]
-	if len(sd.V) != 2 || sd.V[1] != 1 {
-		t.Fatalf("serve.jobs_done series = %+v", sd)
-	}
-	if _, ok := hist.Series["runtime.goroutines"]; !ok {
-		t.Fatal("history missing runtime.goroutines (collect hook)")
-	}
-	if _, ok := hist.Series["serve.latency.e2e_ms.p95"]; !ok {
-		t.Fatal("history missing e2e p95 quantile series")
-	}
-}
-
 // TestSpansEndpointFormats reads one job's timeline in all three
 // formats and rejects an unknown one.
 func TestSpansEndpointFormats(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewManager(Config{PoolWorkers: 2, Obs: reg, HistoryInterval: -1})
+	m := NewManager(Config{PoolWorkers: 2, Obs: reg})
 	defer m.Close()
 	srv := httptest.NewServer(Handler(m, reg))
 	defer srv.Close()

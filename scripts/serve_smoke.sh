@@ -8,7 +8,9 @@
 #
 # Knobs (env): MS_SMOKE_JOBS (default 6), MS_SMOKE_SEED (default 7).
 # MS_SMOKE_ARTIFACTS, when set to a directory, receives a telemetry
-# snapshot (prom.txt, healthz.json, history.json, spans.json) captured
+# snapshot (prom.txt, healthz.json, spans.json, spans-chrome.json: the
+# Prometheus exposition, the structured health and job-1's span
+# timeline as JSON and as a Perfetto-loadable Chrome trace) captured
 # from the live server — CI uploads it as a build artifact.
 set -eu
 cd "$(dirname "$0")/.."
@@ -76,19 +78,27 @@ curl -sf "http://$ADDR/metrics" > /dev/null
 curl -sf "http://$ADDR/metrics/jobs" > /dev/null
 curl -sf "http://$ADDR/obs/metrics" > /dev/null
 
-echo "== telemetry snapshot (prom, healthz, history, spans)"
+echo "== telemetry snapshot (prom, healthz, spans as JSON and Chrome trace)"
 curl -sf "http://$ADDR/metrics/prom" > "$WORK/prom.txt"
 curl -sf "http://$ADDR/healthz" > "$WORK/healthz.json"
-curl -sf "http://$ADDR/metrics/history" > "$WORK/history.json"
 curl -sf "http://$ADDR/jobs/job-1/spans" > "$WORK/spans.json"
+curl -sf "http://$ADDR/jobs/job-1/spans?format=chrome" > "$WORK/spans-chrome.json"
 grep -q "^serve_jobs_done_total $JOBS\$" "$WORK/prom.txt"
 grep -q "serve_latency_e2e_ms_bucket" "$WORK/prom.txt"
 grep -q "runtime_goroutines" "$WORK/prom.txt"
 grep -q '"status": "ok"' "$WORK/healthz.json"
 grep -q '"jobs_done": '"$JOBS" "$WORK/healthz.json"
-grep -q '"serve.jobs_running"' "$WORK/history.json"
 grep -q '"name": "job"' "$WORK/spans.json"
 grep -q '"state": "done"' "$WORK/spans.json"
+grep -q '"traceEvents"' "$WORK/spans-chrome.json"
+grep -q '"displayTimeUnit"' "$WORK/spans-chrome.json"
+# Metric history is Prometheus's job (it scrapes /metrics/prom); the
+# server keeps none of its own.
+code=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/metrics/history")
+if [ "$code" != 404 ]; then
+    echo "serve_smoke: /metrics/history answered $code (want 404)" >&2
+    exit 1
+fi
 
 echo "== result reuse: resubmit seed $SEED, served from the stored result"
 "$WORK/msload" -server "$ADDR" -jobs 1 -concurrency 1 \
@@ -100,8 +110,8 @@ grep -q "^serve_jobs_reused_total 1\$" "$WORK/prom-reuse.txt"
 echo "   reused result byte-identical"
 if [ -n "${MS_SMOKE_ARTIFACTS:-}" ]; then
     mkdir -p "$MS_SMOKE_ARTIFACTS"
-    cp "$WORK/prom.txt" "$WORK/healthz.json" "$WORK/history.json" \
-        "$WORK/spans.json" "$MS_SMOKE_ARTIFACTS/"
+    cp "$WORK/prom.txt" "$WORK/healthz.json" "$WORK/spans.json" \
+        "$WORK/spans-chrome.json" "$MS_SMOKE_ARTIFACTS/"
     echo "   telemetry snapshot copied to $MS_SMOKE_ARTIFACTS"
 fi
 
