@@ -35,9 +35,12 @@ func oneTagGoldenConfig(workers int) Config {
 
 // TestResultGolden pins the full fleet Result JSON — cache statistics
 // included, which neither the trace goldens nor BENCH_*.json carry — for
-// three deployments, at workers=1 and an oversubscribed pool. Regenerate
-// deliberately with `go test ./internal/fleet -run ResultGolden -update`.
+// four deployments, at workers=1, workers=3, an oversubscribed pool and
+// a shared pool of 2. Regenerate deliberately with
+// `go test ./internal/fleet -run ResultGolden -update`.
 func TestResultGolden(t *testing.T) {
+	pool := NewPool(2)
+	defer pool.Close()
 	for _, tc := range []struct {
 		name string
 		cfg  func(workers int) Config
@@ -45,11 +48,14 @@ func TestResultGolden(t *testing.T) {
 		{"trace", traceGoldenConfig},
 		{"phase", phaseGoldenConfig},
 		{"onetag", oneTagGoldenConfig},
+		{"wrap", wrapGoldenConfig},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join("testdata", "golden_result_"+tc.name+".json")
-			encode := func(workers int) []byte {
-				res, err := Run(tc.cfg(workers))
+			encodeOn := func(workers int, pool *Pool) []byte {
+				cfg := tc.cfg(workers)
+				cfg.Pool = pool
+				res, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -59,6 +65,7 @@ func TestResultGolden(t *testing.T) {
 				}
 				return append(raw, '\n')
 			}
+			encode := func(workers int) []byte { return encodeOn(workers, nil) }
 			serial := encode(1)
 			if *updateTrace {
 				if err := os.WriteFile(path, serial, 0o644); err != nil {
@@ -74,6 +81,12 @@ func TestResultGolden(t *testing.T) {
 			}
 			if !bytes.Equal(encode(runtime.NumCPU()*2), want) {
 				t.Fatalf("parallel result drifted from %s", path)
+			}
+			if !bytes.Equal(encode(3), want) {
+				t.Fatalf("workers=3 result drifted from %s", path)
+			}
+			if !bytes.Equal(encodeOn(0, pool), want) {
+				t.Fatalf("shared-pool result drifted from %s", path)
 			}
 		})
 	}

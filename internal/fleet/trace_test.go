@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"multiscatter/internal/excite"
 	"multiscatter/internal/obs"
 	"multiscatter/internal/obs/ptrace"
+	"multiscatter/internal/overlay"
 	"multiscatter/internal/radio"
 	"multiscatter/internal/sim"
 )
@@ -37,6 +39,45 @@ func traceGoldenConfig(workers int) Config {
 		Seed:    11,
 		Workers: workers,
 		Obs:     obs.NewRegistry(),
+	}
+}
+
+// wrapGoldenConfig exercises the packet-set walks and the contention
+// merge where they can go wrong, under a trace whose rings wrap: five
+// receivers, one of which is nearest to no tag; clusters of co-located
+// tags, whose RSSIs tie exactly; a three-tag 802.11n cluster above
+// ConcurrentOFDM 2, which falls back to capture; tags at two distances
+// from one receiver, so some collisions are captured; and harvesting tags
+// that sleep through part of the timeline, a third of them with harvest
+// jitter.
+func wrapGoldenConfig(workers int) Config {
+	at := func(x, y float64) TagSpec { return TagSpec{X: x, Y: y} }
+	harvest := func(t TagSpec, lux float64, charged bool, jitter float64) TagSpec {
+		t.Energy = &sim.EnergyConfig{Lux: lux, StartCharged: charged, HarvestJitterPct: jitter}
+		return t
+	}
+	tags := []TagSpec{
+		at(2, 1.5), at(2, 1.5), at(2, 1.5), // tied cluster at receiver 0
+		harvest(at(10, 2), 1.04e5, true, 0), harvest(at(10, 2), 1.04e5, true, 0.2), // joint pair at receiver 1
+		at(1.5, 10), at(1, 6.5), // two distances from receiver 2
+		at(6.5, 6), harvest(at(7.5, 7.5), 3e4, true, 0), at(5, 5),
+		harvest(at(6.5, 6), 1.04e5, false, 0), harvest(at(2, 1.5), 1.04e5, true, 0.2),
+		harvest(at(1, 6.5), 3e4, true, 0),
+		{X: 9, Y: 3, Supported: []radio.Protocol{radio.ProtocolZigBee}},
+		{X: 4, Y: 4, Mode: overlay.Mode2},
+	}
+	return Config{
+		Sources: []excite.Source{wifiSource(300), excite.NewZigBeeSource(), excite.NewBLEAdvSource()},
+		Tags:    tags,
+		Receivers: []ReceiverSpec{
+			{X: 1, Y: 1}, {X: 11, Y: 1}, {X: 1, Y: 11}, {X: 11, Y: 11}, {X: 6, Y: 6},
+		},
+		Channel:        &channel.Model{RefLossDB: 40.05, Exponent: 2.8, ShadowSigmaDB: 4},
+		Span:           time.Second,
+		Seed:           21,
+		Workers:        workers,
+		ConcurrentOFDM: 2,
+		Obs:            obs.NewRegistry(),
 	}
 }
 
@@ -87,6 +128,101 @@ func TestTraceGoldenDeterminism(t *testing.T) {
 		b, _ := ptrace.ReadJSONL(bytes.NewReader(serial))
 		t.Fatalf("flight-recorder trace drifted from the committed golden — run with -update only if the schema/model change is intentional:\n%s",
 			ptrace.Diff(a, b).Format("golden", a, "run", b))
+	}
+}
+
+const goldenWrapTracePath = "testdata/golden_trace_wrap.jsonl"
+
+// wrapTrace samples every third packet into 64-event rings, so every
+// shard of wrapGoldenConfig overwrites its oldest events.
+var wrapTrace = ptrace.Config{Sample: 3, Capacity: 64}
+
+// TestTraceGoldenWrap pins the drained stream of wrapGoldenConfig under
+// wrapping rings. A ring keeps the newest events in emission order, so
+// the stream pins the order in which each shard emits its traced events,
+// not only their content. Checked like TestTraceGoldenDeterminism, at
+// workers 1 (GOMAXPROCS 1), workers 3 and on a shared pool of 2; every
+// traced run's Result must also equal golden_result_wrap.json.
+// Regenerate deliberately with `go test ./internal/fleet -run TraceGoldenWrap -update`.
+func TestTraceGoldenWrap(t *testing.T) {
+	pool := NewPool(2)
+	defer pool.Close()
+	encode := func(workers int, pool *Pool) (trace, result []byte, events []ptrace.Event) {
+		cfg := wrapGoldenConfig(workers)
+		cfg.Pool = pool
+		cfg.Trace = ptrace.New(wrapTrace)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if result, err = json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+		events = cfg.Trace.Drain()
+		var buf bytes.Buffer
+		if err := ptrace.WriteJSONL(&buf, events); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), append(result, '\n'), events
+	}
+
+	prev := runtime.GOMAXPROCS(1)
+	serial, serialRes, events := encode(1, nil)
+	runtime.GOMAXPROCS(prev)
+
+	perShard := map[int32]int{}
+	for _, ev := range events {
+		perShard[ev.Shard]++
+	}
+	if len(perShard) != len(wrapGoldenConfig(1).Tags) {
+		t.Fatalf("%d shards traced, want one per tag", len(perShard))
+	}
+	for shard, n := range perShard {
+		if n != wrapTrace.Capacity {
+			t.Fatalf("shard %d kept %d events, want a full ring of %d", shard, n, wrapTrace.Capacity)
+		}
+	}
+	full := wrapGoldenConfig(1)
+	full.Trace = ptrace.New(ptrace.Config{Sample: wrapTrace.Sample})
+	if _, err := Run(full); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(full.Trace.Drain()); n <= len(events) {
+		t.Fatalf("unbounded rings hold %d events, the wrapped ones %d: nothing wrapped", n, len(events))
+	}
+
+	if *updateTrace {
+		if err := os.WriteFile(filepath.FromSlash(goldenWrapTracePath), serial, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", goldenWrapTracePath, len(serial))
+	}
+	want, err := os.ReadFile(filepath.FromSlash(goldenWrapTracePath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRes, err := os.ReadFile(filepath.Join("testdata", "golden_result_wrap.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sched := range []struct {
+		name    string
+		workers int
+		pool    *Pool
+	}{{"workers=1", 1, nil}, {"workers=3", 3, nil}, {"shared pool", 0, pool}} {
+		got, gotRes := serial, serialRes
+		if sched.workers != 1 {
+			got, gotRes, _ = encode(sched.workers, sched.pool)
+		}
+		if !bytes.Equal(got, want) {
+			a, _ := ptrace.ReadJSONL(bytes.NewReader(want))
+			b, _ := ptrace.ReadJSONL(bytes.NewReader(got))
+			t.Fatalf("%s: wrapped trace drifted from the committed golden:\n%s",
+				sched.name, ptrace.Diff(a, b).Format("golden", a, sched.name, b))
+		}
+		if !bytes.Equal(gotRes, wantRes) {
+			t.Fatalf("%s: traced result differs from golden_result_wrap.json", sched.name)
+		}
 	}
 }
 
