@@ -1,5 +1,6 @@
 // Fleet benchmarks: the concurrent multi-tag deployment engine at 100
-// and 1000 tags, and a 500-tag harvesting deployment, each at workers=1
+// and 1000 tags, a 500-tag harvesting deployment and the 1000-tag,
+// 256-receiver personal deployment, each at workers=1
 // and workers=NumCPU, so the speedup of the sharded pool (and the
 // determinism across pool sizes) is measurable with
 // `go test -bench Fleet -benchtime 1x`. perf/fleet_bench.txt records
@@ -14,6 +15,7 @@ import (
 
 	"multiscatter"
 	"multiscatter/internal/excite"
+	"multiscatter/internal/obs"
 	"multiscatter/internal/sim"
 )
 
@@ -106,4 +108,41 @@ func BenchmarkFleet100Tags(b *testing.B) {
 
 func BenchmarkFleet1000Tags(b *testing.B) {
 	benchmarkFleet(b, 1000, 2*time.Second)
+}
+
+// BenchmarkFleetPersonal is msperf's fleet-personal deployment as a
+// FleetConfig: 1000 tags and 256 receivers on a 60×100 m office floor
+// over a 2 s span, where identify, contention and downlink all do real
+// work. Besides ms/op it reports each phase's mean wall time per run
+// (fleet.<phase> stages, docs/OBSERVABILITY.md).
+func BenchmarkFleetPersonal(b *testing.B) {
+	sc, err := excite.FindScenario("office")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, runtime.NumCPU()} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			reg := obs.NewRegistry()
+			cfg := multiscatter.FleetConfig{
+				Sources:   sc.Sources,
+				Tags:      multiscatter.PlaceGrid(1000, 60, 100),
+				Receivers: multiscatter.PlaceReceivers(256, 60, 100),
+				Span:      2 * time.Second,
+				Seed:      42,
+				Workers:   workers,
+				Obs:       reg,
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := multiscatter.RunFleet(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			stages := reg.Snapshot().Stages
+			for _, phase := range []string{"timeline", "prefill", "identify", "contention", "downlink", "reduce"} {
+				st := stages["fleet."+phase]
+				b.ReportMetric(float64(st.TotalNS)/float64(b.N)/1e6, phase+"-ms")
+			}
+		})
+	}
 }

@@ -249,7 +249,7 @@ func PlaceReceivers(k int, w, h float64) []ReceiverSpec {
 }
 
 // contention aggregates, for one (receiver, packet) pair, which tags
-// backscattered the packet. Merged serially in tag-ID order, so the
+// backscattered the packet. Merged per receiver in tag-ID order, so the
 // winner of an RSSI tie is the lowest tag ID and the aggregate is
 // deterministic.
 type contention struct {
@@ -260,9 +260,9 @@ type contention struct {
 }
 
 // add merges one tag's response. Callers MUST add in ascending tag-ID
-// order (the serial merge does): the strictly-greater comparisons then
-// make the lowest tag ID the deterministic winner of an exact RSSI tie.
-// Pinned by TestContentionTieBreak.
+// order (contendAt does): the strictly-greater comparisons then make the
+// lowest tag ID the deterministic winner of an exact RSSI tie. Pinned by
+// TestContentionTieBreak.
 func (c *contention) add(tag int32, rssi float64) {
 	c.count++
 	switch {
@@ -274,6 +274,14 @@ func (c *contention) add(tag int32, rssi float64) {
 	case rssi > c.secondRSSI:
 		c.secondRSSI = rssi
 	}
+}
+
+// tracedContention is what a traced response's downlink trace details
+// print of its contention: how many tags backscattered the packet at the
+// receiver, and the best tag's RSSI margin over the runner-up.
+type tracedContention struct {
+	count    int32
+	marginDB float64
 }
 
 // tagRun is the per-tag working state and partial result.
@@ -299,12 +307,19 @@ type tagRun struct {
 	wake *wakeSchedule
 
 	// responses holds the timeline packets this tag backscattered
-	// (awake, clean, identified, supported).
-	responses packetSet
+	// (awake, clean, identified, supported). Contention marks the
+	// responses another tag's collision cost it in lost, and those the
+	// receiver decodes jointly with other tags' in joint.
+	responses, lost, joint packetSet
+	// traced holds the contention of each traced response, in ascending
+	// packet order; empty when tracing is off.
+	traced []tracedContention
 	// counts[protocol][outcome] accumulates the packet fates.
 	counts  [protocolSlots][outcomeSlots]int
 	tagBits [protocolSlots]int
-	buckets []float64
+	// buckets holds the tag bits delivered per throughput-timeline
+	// bucket.
+	buckets []int
 }
 
 // trace1 records one lifecycle stage event for timeline packet i. Only
@@ -371,11 +386,53 @@ func Run(cfg Config) (*Result, error) { return RunContext(context.Background(), 
 // are byte-identical at any Workers value, with or without a shared
 // Pool.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
+	cfg, err := withDefaults(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer cfg.Obs.Stage("fleet.run").ObserveSince(time.Now())
+	fr, err := newRun(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if fr.cfg.Pool == nil {
+		fr.cfg.Pool = NewPool(min(cfg.Workers, len(fr.shardTags)))
+		defer fr.cfg.Pool.Close()
+	}
+	cfg.Obs.Gauge("fleet.workers").Set(float64(fr.cfg.Pool.Size()))
+
+	for _, phase := range []struct {
+		stage string
+		run   func(context.Context)
+	}{
+		{"fleet.identify", fr.identify},
+		{"fleet.contention", fr.contend},
+		{"fleet.downlink", fr.downlink},
+	} {
+		t0 := time.Now()
+		phase.run(ctx)
+		cfg.Obs.Stage(phase.stage).ObserveSince(t0)
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("fleet: run aborted: %w", err)
+		}
+	}
+
+	tReduce := time.Now()
+	res, err := reduce(cfg, fr.receivers, fr.tags, fr.events, fr.exciteCollided, fr.bucketDur, fr.stats)
+	cfg.Obs.Stage("fleet.reduce").ObserveSince(tReduce)
+	if err == nil {
+		recordRun(cfg.Obs, res)
+	}
+	return res, err
+}
+
+// withDefaults validates cfg and fills its zero fields.
+func withDefaults(cfg Config) (Config, error) {
 	if len(cfg.Sources) == 0 {
-		return nil, fmt.Errorf("fleet: no excitation sources")
+		return cfg, fmt.Errorf("fleet: no excitation sources")
 	}
 	if len(cfg.Tags) == 0 {
-		return nil, fmt.Errorf("fleet: no tags")
+		return cfg, fmt.Errorf("fleet: no tags")
 	}
 	if cfg.Span <= 0 {
 		cfg.Span = 10 * time.Second
@@ -385,7 +442,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	bucketDur := time.Duration(cfg.BucketMS) * time.Millisecond
 	if bucketDur <= 0 || bucketDur/time.Millisecond != time.Duration(cfg.BucketMS) {
-		return nil, fmt.Errorf("fleet: bucket length %d ms overflows time.Duration", cfg.BucketMS)
+		return cfg, fmt.Errorf("fleet: bucket length %d ms overflows time.Duration", cfg.BucketMS)
 	}
 	if cfg.Channel == nil {
 		cfg.Channel = channel.NewLoS()
@@ -405,7 +462,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	switch cfg.Baseline {
 	case BaselineMultiscatter, BaselineDoubleDecker:
 	default:
-		return nil, fmt.Errorf("fleet: unknown baseline %q", cfg.Baseline)
+		return cfg, fmt.Errorf("fleet: unknown baseline %q", cfg.Baseline)
 	}
 	if cfg.Baseline == BaselineDoubleDecker && cfg.Phase == nil {
 		cfg.Phase = &PhaseConfig{}
@@ -417,21 +474,62 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Obs == nil {
 		cfg.Obs = obs.Default()
 	}
-	defer cfg.Obs.Stage("fleet.run").ObserveSince(time.Now())
-	receivers := cfg.Receivers
-	if len(receivers) == 0 {
+	return cfg, nil
+}
+
+// fleetRun is one run's state between its phases: the shared timeline
+// and its packet sets, and the tags in two partitions, by shard for
+// identify and downlink and by receiver for contention. newRun writes
+// all of it but the tags' working sets and partial results, which the
+// phases fill in.
+type fleetRun struct {
+	cfg       Config
+	receivers []ReceiverSpec
+	bucketDur time.Duration
+
+	events         []excite.Event
+	exciteCollided int
+	// clean holds the packets no other source overlaps on air, byProto
+	// each protocol's packets and bySource each source's (nil for a
+	// protocol or source the timeline lacks). bucket is each packet's
+	// throughput-timeline bucket, and wordBucket the bucket of each
+	// word's 64 packets, or -1 where they span two.
+	clean      packetSet
+	byProto    [protocolSlots]packetSet
+	bySource   []packetSet
+	bucket     []int
+	wordBucket []int
+	// sampled holds the packets the flight recorder traces; nil when
+	// tracing is off.
+	sampled packetSet
+
+	stats     CacheStats
+	tags      []*tagRun
+	shardTags [][]*tagRun
+	// byRx lists the tags by receiver, each receiver's in ascending ID:
+	// receiver r's are byRx[rxStart[r]:rxStart[r+1]].
+	byRx    []*tagRun
+	rxStart []int
+}
+
+// newRun builds the timeline (timed as fleet.timeline) and prefills the
+// tags (fleet.prefill) of a defaulted cfg.
+func newRun(cfg Config) (*fleetRun, error) {
+	fr := &fleetRun{cfg: cfg, receivers: cfg.Receivers,
+		bucketDur: time.Duration(cfg.BucketMS) * time.Millisecond}
+	if len(fr.receivers) == 0 {
 		var cx, cy float64
 		for _, t := range cfg.Tags {
 			cx += t.X
 			cy += t.Y
 		}
 		n := float64(len(cfg.Tags))
-		receivers = []ReceiverSpec{{X: cx / n, Y: cy / n}}
+		fr.receivers = []ReceiverSpec{{X: cx / n, Y: cy / n}}
 	}
 
-	// Shared excitation timeline and its tag-side collision flags: both
-	// are properties of the air, identical for every tag, so they are
-	// computed once and shared read-only across the pool.
+	// The excitation timeline and its packet sets are properties of the
+	// air, identical for every tag, so they are computed once and shared
+	// read-only across the pool.
 	tTimeline := time.Now()
 	events := excite.Timeline(cfg.Sources, cfg.Span, sim.SeedRNG(cfg.Seed, sim.StreamFleetTimeline))
 	if cfg.MaxEvents > 0 && len(events) > cfg.MaxEvents {
@@ -439,35 +537,62 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("fleet: timeline has %d packets, budget %d: %w",
 			len(events), cfg.MaxEvents, ErrBudget)
 	}
-	collided := excite.CollisionFlags(events)
-	exciteCollided := 0
-	for _, c := range collided {
+	fr.events = events
+	fr.clean = newPacketSet(len(events))
+	fr.bySource = make([]packetSet, len(cfg.Sources))
+	fr.bucket = make([]int, len(events))
+	for i, c := range excite.CollisionFlags(events) {
+		e := events[i]
+		if fr.byProto[e.Protocol] == nil {
+			fr.byProto[e.Protocol] = newPacketSet(len(events))
+		}
+		fr.byProto[e.Protocol].set(i)
+		if fr.bySource[e.Source] == nil {
+			fr.bySource[e.Source] = newPacketSet(len(events))
+		}
+		fr.bySource[e.Source].set(i)
 		if c {
-			exciteCollided++
+			fr.exciteCollided++
+		} else {
+			fr.clean.set(i)
+		}
+		fr.bucket[i] = int(e.Start / fr.bucketDur)
+	}
+	fr.wordBucket = make([]int, len(fr.clean))
+	for w := range fr.wordBucket {
+		word := fr.bucket[w*64 : min(w*64+64, len(events))]
+		fr.wordBucket[w] = word[0]
+		for _, b := range word {
+			if b != word[0] {
+				fr.wordBucket[w] = -1
+				break
+			}
 		}
 	}
 	cfg.Obs.Stage("fleet.timeline").ObserveSince(tTimeline)
 
 	// Prefill resolves everything static before the parallel phases:
 	// per-tag state (receiver assignment, link-table bucket, profile,
-	// empty response set), the calibrated-link table, and one wake
-	// schedule per energy profile. Tag placements, sources and the
-	// timeline are fixed, so the parallel phases run on plain array and
-	// bit reads.
+	// empty packet sets), the calibrated-link table, one wake schedule
+	// per energy profile, and the tags' order by receiver. Tag
+	// placements, sources and the timeline are fixed, so the parallel
+	// phases run on plain array and bit reads.
 	tPrefill := time.Now()
-	numBuckets := int(cfg.Span/bucketDur) + 1
+	numBuckets := int(cfg.Span/fr.bucketDur) + 1
 	table := newLinkTable(cfg.Channel, cfg.DistanceBucketM, cfg.Seed,
 		cfg.Phase, cfg.Baseline == BaselineDoubleDecker)
-	tags := make([]*tagRun, len(cfg.Tags))
+	sets := newPacketSets(3*len(cfg.Tags), len(events))
+	fr.tags = make([]*tagRun, len(cfg.Tags))
 	for i, spec := range cfg.Tags {
 		t := &tagRun{spec: spec, id: i, mode: spec.Mode,
-			responses: newPacketSet(len(events)), buckets: make([]float64, numBuckets)}
+			responses: sets[3*i], lost: sets[3*i+1], joint: sets[3*i+2],
+			buckets: make([]int, numBuckets)}
 		if t.mode == 0 {
 			t.mode = overlay.Mode1
 		}
 		t.rx = 0
 		best := math.Inf(1)
-		for ri, r := range receivers {
+		for ri, r := range fr.receivers {
 			d := math.Hypot(spec.X-r.X, spec.Y-r.Y)
 			if d < best {
 				best, t.rx = d, ri
@@ -491,253 +616,388 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			t.accuracy[p] = a
 		}
-		tags[i] = t
+		fr.tags[i] = t
 	}
-	stats := table.prefill(tags, cfg.Sources)
-	buildWakeSchedules(tags, events, cfg.Seed)
+	fr.stats = table.prefill(fr.tags, cfg.Sources)
+	buildWakeSchedules(fr.tags, events, cfg.Seed)
+	// A counting sort by receiver; tags enter in ID order, so each
+	// receiver's stay in ascending ID.
+	fr.rxStart = make([]int, len(fr.receivers)+1)
+	for _, t := range fr.tags {
+		fr.rxStart[t.rx+1]++
+	}
+	for r := range fr.receivers {
+		fr.rxStart[r+1] += fr.rxStart[r]
+	}
+	next := append([]int(nil), fr.rxStart[:len(fr.receivers)]...)
+	fr.byRx = make([]*tagRun, len(fr.tags))
+	for _, t := range fr.tags {
+		fr.byRx[next[t.rx]] = t
+		next[t.rx]++
+	}
 	cfg.Obs.Stage("fleet.prefill").ObserveSince(tPrefill)
 
 	// Shard the fleet: a fixed partition (independent of Workers) so the
 	// per-shard RNG streams, and therefore the results, do not move when
 	// the pool is resized.
-	numShards := len(tags)
-	if numShards > maxShards {
-		numShards = maxShards
-	}
-	shardTags := make([][]*tagRun, numShards)
-	for _, t := range tags {
+	numShards := min(len(fr.tags), maxShards)
+	fr.shardTags = make([][]*tagRun, numShards)
+	for _, t := range fr.tags {
 		s := t.id % numShards
-		shardTags[s] = append(shardTags[s], t)
+		fr.shardTags[s] = append(fr.shardTags[s], t)
 	}
-	if cfg.Pool == nil {
-		cfg.Pool = NewPool(min(cfg.Workers, numShards))
-		defer cfg.Pool.Close()
-	}
-	cfg.Obs.Gauge("fleet.workers").Set(float64(cfg.Pool.Size()))
 	// The flight recorder shares the shard partition, so each shard's
 	// ring is single-writer and the drained stream cannot depend on the
 	// worker count (see internal/obs/ptrace).
 	cfg.Trace.Configure(numShards)
-
-	// shardObs wraps a shard body so each shard execution lands in the
-	// fleet.shard_ns histogram and the fleet.shard_runs counter. The
-	// instruments are atomic, so concurrent shards record without locks.
-	shardObs := func(fn func(int)) func(int) {
-		h := cfg.Obs.Histogram("fleet.shard_ns", obs.TimeBucketsNS())
-		runs := cfg.Obs.Counter("fleet.shard_runs")
-		return func(shard int) {
-			t0 := time.Now()
-			fn(shard)
-			h.Observe(float64(time.Since(t0)))
-			runs.Inc()
+	if mask := cfg.Trace.Mask(len(events)); mask != nil {
+		fr.sampled = newPacketSet(len(events))
+		for i, traced := range mask {
+			if traced {
+				fr.sampled.set(i)
+			}
 		}
 	}
+	return fr, nil
+}
 
-	// traceMask is the per-packet sampling decision, computed once and
-	// indexed (read-only) by every shard's hot loop; nil when tracing is
-	// off, so `traceMask != nil && traceMask[i]` is the traced test.
-	traceMask := cfg.Trace.Mask(len(events))
+// timedShard wraps a tag-shard body so each execution lands in the
+// fleet.shard_ns histogram and the fleet.shard_runs counter. The
+// instruments are atomic, so concurrent shards record without locks.
+func (fr *fleetRun) timedShard(fn func(int)) func(int) {
+	h := fr.cfg.Obs.Histogram("fleet.shard_ns", obs.TimeBucketsNS())
+	runs := fr.cfg.Obs.Counter("fleet.shard_runs")
+	return func(shard int) {
+		t0 := time.Now()
+		fn(shard)
+		h.Observe(float64(time.Since(t0)))
+		runs.Inc()
+	}
+}
 
-	// Phase 1 — identification: every tag classifies every packet
-	// (asleep / collided / misidentified / unsupported / responds). The
-	// loop visits asleep packets too, in timeline order, so traced
-	// events reach the shard rings in emission order; an asleep packet
-	// costs a mask test, a bit test and a counter.
-	tIdentify := time.Now()
-	runShards(ctx, cfg.Pool, numShards, shardObs(func(shard int) {
-		rng := sim.SeedRNG(cfg.Seed+int64(shard), sim.StreamFleetShard)
-		tr := cfg.Trace.Shard(shard)
-		for _, t := range shardTags[shard] {
+// identify classifies, on the tag shards, every packet for every tag,
+// 64 timeline packets at a time: asleep, air-collided, misidentified,
+// unsupported, or a response. Only the identification draws visit
+// packets one by one, and only the packets that draw (awake and clean),
+// in ascending order, which the shard's stream follows; the outcomes are
+// counted by popcount over the protocol sets. The traced packets are
+// visited in ascending order too, and untraced ones emit nothing, so
+// each shard's ring receives the same events in the same order as a
+// visit of every packet would give it.
+func (fr *fleetRun) identify(ctx context.Context) {
+	events := fr.events
+	runShards(ctx, fr.cfg.Pool, len(fr.shardTags), fr.timedShard(func(shard int) {
+		rng := sim.SeedRNG(fr.cfg.Seed+int64(shard), sim.StreamFleetShard)
+		tr := fr.cfg.Trace.Shard(shard)
+		for _, t := range fr.shardTags[shard] {
 			modeStr := ""
 			if tr != nil {
 				modeStr = t.mode.String() // hoisted: Mode.String formats
 			}
-			for i, e := range events {
-				p := e.Protocol
-				// Tracing pays one nil check per packet when off; all
-				// event construction sits behind `traced`.
-				traced := traceMask != nil && traceMask[i]
-				if traced {
-					ev := tr.Alloc()
-					ev.TUS = int64(e.Start / time.Microsecond)
-					ev.DurUS = int64(e.Duration / time.Microsecond)
-					ev.Tag = int32(t.id)
-					ev.Packet = int32(i)
-					ev.Proto = p.String()
-					ev.Stage = ptrace.StageExcite
-					if collided[i] {
-						ev.Detail = "air-collided"
-					}
-				}
+			for w, clean := range fr.clean {
+				awake := ^uint64(0)
 				if t.wake != nil {
-					if !t.wake.awake.has(i) {
-						t.counts[p][sim.TagAsleep]++
-						if traced {
-							t.trace2(tr, e, i, ptrace.StageEnergy, "asleep", sim.TagAsleep)
-						}
-						continue
-					}
-					if traced {
-						t.trace1(tr, e, i, ptrace.StageEnergy, "awake")
+					awake = t.wake.awake[w]
+				}
+				var supported uint64
+				for p, set := range fr.byProto {
+					if set != nil && t.supported[p] {
+						supported |= set[w]
 					}
 				}
-				if collided[i] {
-					t.counts[p][sim.Collided]++
-					if traced {
-						t.trace2(tr, e, i, ptrace.StageIdentify, "air-collision", sim.Collided)
+				drawn := clean & awake
+				var missed uint64
+				for m := drawn; m != 0; m &= m - 1 {
+					if rng.Float64() > t.accuracy[events[w*64+bits.TrailingZeros64(m)].Protocol] {
+						missed |= m & -m
 					}
+				}
+				t.responses[w] = drawn &^ missed & supported
+				fr.countIdentify(t, w, awake, drawn, missed, supported)
+				if fr.sampled == nil {
 					continue
 				}
-				if rng.Float64() > t.accuracy[p] {
-					t.counts[p][sim.Misidentified]++
-					if traced {
-						t.trace2(tr, e, i, ptrace.StageIdentify, "missed", sim.Misidentified)
-					}
-					continue
+				for m := fr.sampled[w]; m != 0; m &= m - 1 {
+					bit := m & -m
+					i := w*64 + bits.TrailingZeros64(m)
+					t.traceIdentify(tr, events[i], i, awake&bit != 0, clean&bit != 0, missed&bit != 0, modeStr)
 				}
-				if !t.supported[p] {
-					t.counts[p][sim.Unsupported]++
-					if traced {
-						t.trace2(tr, e, i, ptrace.StageIdentify, "ok", sim.Unsupported)
-					}
-					continue
-				}
-				if traced {
-					t.trace1(tr, e, i, ptrace.StageIdentify, "ok")
-					t.trace1(tr, e, i, ptrace.StagePlan, modeStr)
-				}
-				t.responses.set(i)
 			}
 		}
 	}))
-	cfg.Obs.Stage("fleet.identify").ObserveSince(tIdentify)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("fleet: run aborted: %w", err)
-	}
+}
 
-	// Merge — cross-tag contention: serial, in tag-ID order, so RSSI
-	// ties resolve to the lowest tag ID deterministically. Two tags
-	// backscattering the same excitation packet toward the same receiver
-	// interfere; the receiver captures the strongest only if it clears
-	// the capture margin.
-	tContention := time.Now()
-	cont := make([][]contention, len(receivers))
-	for ri := range cont {
-		cont[ri] = make([]contention, len(events))
+// countIdentify adds the identify outcomes of t's packets among the 64
+// of word w to its counts.
+func (fr *fleetRun) countIdentify(t *tagRun, w int, awake, drawn, missed, supported uint64) {
+	for p, set := range fr.byProto {
+		if set == nil {
+			continue
+		}
+		pw := set[w]
+		t.counts[p][sim.TagAsleep] += bits.OnesCount64(pw &^ awake)
+		t.counts[p][sim.Collided] += bits.OnesCount64(pw & awake &^ fr.clean[w])
+		t.counts[p][sim.Misidentified] += bits.OnesCount64(pw & missed)
+		t.counts[p][sim.Unsupported] += bits.OnesCount64(pw & drawn &^ missed &^ supported)
 	}
-	for _, t := range tags {
-		for w, word := range t.responses {
-			for ; word != 0; word &= word - 1 {
-				ei := w*64 + bits.TrailingZeros64(word)
-				p := events[ei].Protocol
-				cont[t.rx][ei].add(int32(t.id), t.linked[p].RSSIdBm)
+}
+
+// traceIdentify records a traced packet's events up to its identify
+// verdict, and the overlay plan of a response.
+func (t *tagRun) traceIdentify(tr *ptrace.ShardRecorder, e excite.Event, i int, awake, clean, missed bool, modeStr string) {
+	ev := tr.Alloc()
+	ev.TUS = int64(e.Start / time.Microsecond)
+	ev.DurUS = int64(e.Duration / time.Microsecond)
+	ev.Tag = int32(t.id)
+	ev.Packet = int32(i)
+	ev.Proto = e.Protocol.String()
+	ev.Stage = ptrace.StageExcite
+	if !clean {
+		ev.Detail = "air-collided"
+	}
+	if t.wake != nil {
+		if !awake {
+			t.trace2(tr, e, i, ptrace.StageEnergy, "asleep", sim.TagAsleep)
+			return
+		}
+		t.trace1(tr, e, i, ptrace.StageEnergy, "awake")
+	}
+	switch {
+	case !clean:
+		t.trace2(tr, e, i, ptrace.StageIdentify, "air-collision", sim.Collided)
+	case missed:
+		t.trace2(tr, e, i, ptrace.StageIdentify, "missed", sim.Misidentified)
+	case !t.supported[e.Protocol]:
+		t.trace2(tr, e, i, ptrace.StageIdentify, "ok", sim.Unsupported)
+	default:
+		t.trace1(tr, e, i, ptrace.StageIdentify, "ok")
+		t.trace1(tr, e, i, ptrace.StagePlan, modeStr)
+	}
+}
+
+// contend arbitrates cross-tag contention: two tags backscattering the
+// same excitation packet toward the same receiver interfere, and the
+// receiver captures the strongest only if it clears the capture margin.
+// It runs on the pool in receiver groups, receiver r in task r mod
+// tasks. A receiver's verdicts depend only on its own tags, so the
+// grouping cannot change them.
+func (fr *fleetRun) contend(ctx context.Context) {
+	tasks := min(len(fr.receivers), fr.cfg.Pool.Size())
+	runShards(ctx, fr.cfg.Pool, tasks, func(task int) {
+		for r := task; r < len(fr.receivers); r += tasks {
+			if tags := fr.byRx[fr.rxStart[r]:fr.rxStart[r+1]]; len(tags) > 0 {
+				fr.contendAt(tags)
 			}
 		}
+	})
+}
+
+// contendAt arbitrates one receiver's tags 64 timeline packets at a
+// time. It merges the tags' responses among those packets into a window
+// of 64 cells, in ascending tag ID; writes each tag's lost and joint
+// bits for them, and the contention of each traced response; and clears
+// the cells it touched.
+func (fr *fleetRun) contendAt(tags []*tagRun) {
+	var cells [64]contention
+	var ofdm packetSet
+	if fr.cfg.ConcurrentOFDM > 1 {
+		ofdm = fr.byProto[radio.Protocol80211n]
 	}
+	for w := range fr.clean {
+		var touched uint64
+		for _, t := range tags {
+			resp := t.responses[w]
+			if resp == 0 {
+				continue
+			}
+			touched |= resp
+			for p, set := range fr.byProto {
+				if set == nil {
+					continue
+				}
+				rssi := t.linked[p].RSSIdBm
+				for m := resp & set[w]; m != 0; m &= m - 1 {
+					cells[bits.TrailingZeros64(m)].add(int32(t.id), rssi)
+				}
+			}
+		}
+		if touched == 0 {
+			continue
+		}
+		var jointable, sampled uint64
+		if ofdm != nil {
+			jointable = ofdm[w]
+		}
+		if fr.sampled != nil {
+			sampled = fr.sampled[w]
+		}
+		for _, t := range tags {
+			resp := t.responses[w]
+			if resp == 0 {
+				continue
+			}
+			var lost, joint uint64
+			for m := resp; m != 0; m &= m - 1 {
+				bit := m & -m
+				c := &cells[bits.TrailingZeros64(m)]
+				switch {
+				case c.count < 2:
+				// Concurrent OFDM joint decode: a collision of up to
+				// ConcurrentOFDM tags on an 802.11n packet is not
+				// arbitrated by capture at all — every participant rides
+				// its own subcarrier group (ofdm.AssignConcurrent) and the
+				// receiver separates them jointly. The decision depends
+				// only on the shared contention count, so it is identical
+				// for every participant and at any Workers value.
+				case jointable&bit != 0 && int(c.count) <= fr.cfg.ConcurrentOFDM:
+					joint |= bit
+				// Capture-loss boundary (pinned by TestCaptureMarginBoundary):
+				// a margin strictly below CaptureDB loses; exactly CaptureDB
+				// is captured. An exact RSSI tie makes the margin 0 (< any
+				// positive CaptureDB), but bestTag — the lowest tag ID, by
+				// merge order — is still the deterministic capture candidate.
+				case c.bestTag != int32(t.id) || c.bestRSSI-c.secondRSSI < fr.cfg.CaptureDB:
+					lost |= bit
+				}
+				if sampled&bit != 0 {
+					t.traced = append(t.traced, tracedContention{c.count, c.bestRSSI - c.secondRSSI})
+				}
+			}
+			t.lost[w], t.joint[w] = lost, joint
+		}
+		for m := touched; m != 0; m &= m - 1 {
+			cells[bits.TrailingZeros64(m)] = contention{}
+		}
+	}
+}
 
-	cfg.Obs.Stage("fleet.contention").ObserveSince(tContention)
-
-	// Phase 2 — downlink: winners of the contention deliver their
-	// overlay bits if the calibrated link sustains them.
-	tDownlink := time.Now()
-	runShards(ctx, cfg.Pool, numShards, shardObs(func(shard int) {
+// downlink decides, on the tag shards, the fate of every response, 64
+// timeline packets at a time: lost to another tag (contention's lost
+// bits), out of the link's range, lost to the link's packet error rate,
+// or delivered, jointly decoded or not. Only the PER draws and the
+// traced responses visit packets one by one, in ascending order: the
+// shard's PER draws follow that order, and the golden traces pin it.
+func (fr *fleetRun) downlink(ctx context.Context) {
+	cfg, events := fr.cfg, fr.events
+	runShards(ctx, cfg.Pool, len(fr.shardTags), fr.timedShard(func(shard int) {
 		rng := sim.SeedRNG(cfg.Seed+int64(shard), sim.StreamFleetDownlink)
 		tr := cfg.Trace.Shard(shard)
-		for _, t := range shardTags[shard] {
-			// Ascending packet order: the shard's PER draws follow it,
-			// and the golden traces pin that draw order.
-			for w, word := range t.responses {
-				for ; word != 0; word &= word - 1 {
-					ei := w*64 + bits.TrailingZeros64(word)
-					e := events[ei]
-					p := e.Protocol
-					c := &cont[t.rx][ei]
-					traced := traceMask != nil && traceMask[ei]
-					// Concurrent OFDM joint decode: a collision of up to
-					// ConcurrentOFDM tags on an 802.11n packet is not arbitrated
-					// by capture at all — every participant rides its own
-					// subcarrier group (ofdm.AssignConcurrent) and the receiver
-					// separates them jointly. The decision depends only on the
-					// shared contention count, so it is identical for every
-					// participant and at any Workers value.
-					joint := p == radio.Protocol80211n && c.count > 1 &&
-						cfg.ConcurrentOFDM > 1 && int(c.count) <= cfg.ConcurrentOFDM
-					// Capture-loss boundary (pinned by TestCaptureMarginBoundary):
-					// a margin strictly below CaptureDB loses; exactly CaptureDB
-					// is captured. An exact RSSI tie makes the margin 0 (< any
-					// positive CaptureDB), but bestTag — the lowest tag ID, by
-					// merge order — is still the deterministic capture candidate.
-					lost := !joint && c.count > 1 &&
-						(c.bestTag != int32(t.id) || c.bestRSSI-c.secondRSSI < cfg.CaptureDB)
-					if DivergeHook != nil && DivergeHook(cfg.Workers, t.id, ei) {
-						lost, joint = true, false
-					}
-					if lost {
-						t.counts[p][sim.CrossCollided]++
-						if traced {
-							t.trace2(tr, e, ei, ptrace.StageChannel,
-								detailN("cross-collided n=", c.count), sim.CrossCollided)
-						}
-						continue
-					}
-					if traced {
-						switch {
-						case joint:
-							t.trace1(tr, e, ei, ptrace.StageChannel,
-								detailN("joint-ofdm n=", c.count))
-						case c.count > 1:
-							t.trace1(tr, e, ei, ptrace.StageChannel,
-								detailCaptured(c.count, c.bestRSSI-c.secondRSSI))
-						default:
-							t.trace1(tr, e, ei, ptrace.StageChannel, "clear")
+		for _, t := range fr.shardTags[shard] {
+			traced := t.traced
+			for w, resp := range t.responses {
+				if resp == 0 {
+					continue
+				}
+				lost, joint := t.lost[w], t.joint[w]
+				if DivergeHook != nil {
+					for m := resp; m != 0; m &= m - 1 {
+						if DivergeHook(cfg.Workers, t.id, w*64+bits.TrailingZeros64(m)) {
+							lost, joint = lost|m&-m, joint&^(m&-m)
 						}
 					}
-					entry := t.linked[p]
-					if !entry.InRange {
-						t.counts[p][sim.LostDownlink]++
-						if traced {
-							t.trace2(tr, e, ei, ptrace.StageDemod, "out-of-range", sim.LostDownlink)
+				}
+				// inRange holds the packets whose protocol the tag's link
+				// reaches, erring those it reaches with PER > 0.
+				var inRange, erring uint64
+				for p, set := range fr.byProto {
+					if set != nil && t.linked[p].InRange {
+						inRange |= set[w]
+						if t.linked[p].PERTag > 0 {
+							erring |= set[w]
 						}
-						continue
 					}
-					if entry.PERTag > 0 && rng.Float64() < entry.PERTag {
-						t.counts[p][sim.LostDownlink]++
-						if traced {
-							t.trace2(tr, e, ei, ptrace.StageDemod,
-								detailPERLoss(entry.PERTag), sim.LostDownlink)
-						}
-						continue
+				}
+				survived := resp &^ lost
+				delivered := survived & inRange
+				for m := delivered & erring; m != 0; m &= m - 1 {
+					p := events[w*64+bits.TrailingZeros64(m)].Protocol
+					if rng.Float64() < t.linked[p].PERTag {
+						delivered &^= m & -m
 					}
-					outcome := sim.Delivered
-					if joint {
-						outcome = sim.DecodedConcurrent
-					}
-					t.counts[p][outcome]++
-					pktBits := t.bits[e.Source]
-					t.tagBits[p] += pktBits
-					if b := int(e.Start / bucketDur); b < len(t.buckets) {
-						t.buckets[b] += float64(pktBits)
-					}
-					if traced {
-						t.trace2(tr, e, ei, ptrace.StageDemod,
-							detailDelivered(entry.RSSIdBm, pktBits), outcome)
-					}
+				}
+				fr.countDownlink(t, w, lost, joint, survived, delivered)
+				if fr.sampled == nil {
+					continue
+				}
+				for m := resp & fr.sampled[w]; m != 0; m &= m - 1 {
+					bit := m & -m
+					i := w*64 + bits.TrailingZeros64(m)
+					t.traceDownlink(tr, events[i], i, traced[0], lost&bit != 0, joint&bit != 0, delivered&bit != 0)
+					traced = traced[1:]
 				}
 			}
 		}
 	}))
-	cfg.Obs.Stage("fleet.downlink").ObserveSince(tDownlink)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("fleet: run aborted: %w", err)
-	}
+}
 
-	tReduce := time.Now()
-	res, err := reduce(cfg, receivers, tags, events, exciteCollided, bucketDur, stats)
-	cfg.Obs.Stage("fleet.reduce").ObserveSince(tReduce)
-	if err == nil {
-		recordRun(cfg.Obs, res)
+// countDownlink adds the outcomes of t's responses among the 64 packets
+// of word w to its counts, and the delivered packets' bits to its
+// protocol and bucket totals.
+func (fr *fleetRun) countDownlink(t *tagRun, w int, lost, joint, survived, delivered uint64) {
+	for p, set := range fr.byProto {
+		if set == nil {
+			continue
+		}
+		pw := set[w]
+		t.counts[p][sim.CrossCollided] += bits.OnesCount64(lost & pw)
+		t.counts[p][sim.LostDownlink] += bits.OnesCount64(survived &^ delivered & pw)
+		t.counts[p][sim.DecodedConcurrent] += bits.OnesCount64(delivered & joint & pw)
+		t.counts[p][sim.Delivered] += bits.OnesCount64(delivered &^ joint & pw)
 	}
-	return res, err
+	if delivered == 0 {
+		return
+	}
+	wordBits := 0
+	for s, set := range fr.bySource {
+		if set == nil {
+			continue
+		}
+		n := bits.OnesCount64(delivered&set[w]) * t.bits[s]
+		t.tagBits[fr.cfg.Sources[s].Protocol] += n
+		wordBits += n
+	}
+	if b := fr.wordBucket[w]; b >= 0 {
+		if b < len(t.buckets) {
+			t.buckets[b] += wordBits
+		}
+		return
+	}
+	for m := delivered; m != 0; m &= m - 1 {
+		i := w*64 + bits.TrailingZeros64(m)
+		if b := fr.bucket[i]; b < len(t.buckets) {
+			t.buckets[b] += t.bits[fr.events[i].Source]
+		}
+	}
+}
+
+// traceDownlink records a traced response's channel and demod events
+// from the verdicts downlink took for it.
+func (t *tagRun) traceDownlink(tr *ptrace.ShardRecorder, e excite.Event, i int, c tracedContention, lost, joint, delivered bool) {
+	if lost {
+		t.trace2(tr, e, i, ptrace.StageChannel, detailN("cross-collided n=", c.count), sim.CrossCollided)
+		return
+	}
+	switch {
+	case joint:
+		t.trace1(tr, e, i, ptrace.StageChannel, detailN("joint-ofdm n=", c.count))
+	case c.count > 1:
+		t.trace1(tr, e, i, ptrace.StageChannel, detailCaptured(c.count, c.marginDB))
+	default:
+		t.trace1(tr, e, i, ptrace.StageChannel, "clear")
+	}
+	entry := &t.linked[e.Protocol]
+	switch {
+	case !entry.InRange:
+		t.trace2(tr, e, i, ptrace.StageDemod, "out-of-range", sim.LostDownlink)
+	case !delivered:
+		t.trace2(tr, e, i, ptrace.StageDemod, detailPERLoss(entry.PERTag), sim.LostDownlink)
+	case joint:
+		t.trace2(tr, e, i, ptrace.StageDemod,
+			detailDelivered(entry.RSSIdBm, t.bits[e.Source]), sim.DecodedConcurrent)
+	default:
+		t.trace2(tr, e, i, ptrace.StageDemod,
+			detailDelivered(entry.RSSIdBm, t.bits[e.Source]), sim.Delivered)
+	}
 }
 
 // runShards executes fn(shard) for every shard on pool. Each shard's

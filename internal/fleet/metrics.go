@@ -195,7 +195,7 @@ func reduce(cfg Config, receivers []ReceiverSpec, tags []*tagRun, events []excit
 		}
 		tr.TagKbps = float64(tr.TagBits) / spanSec / 1e3
 		for b, bits := range t.buckets {
-			res.Buckets[b] += bits
+			res.Buckets[b] += float64(bits)
 		}
 		res.Tags = append(res.Tags, tr)
 		res.FleetTagKbps += tr.TagKbps

@@ -9,13 +9,26 @@ import (
 )
 
 // packetSet is a set of timeline packet indices, one bit per packet of
-// the run's timeline. It holds both a wake schedule's powered packets and
-// a tag's responses. Contention and downlink walk a response set word by
-// word, lowest bit first, which visits the packets in ascending order.
+// the run's timeline. It holds a wake schedule's powered packets, a
+// tag's responses and contention verdicts, the timeline's clean and
+// per-protocol packets, and the traced ones. The phases walk a set word
+// by word, lowest bit first, which visits the packets in ascending order.
 type packetSet []uint64
 
 // newPacketSet returns an empty set over a timeline of n packets.
 func newPacketSet(n int) packetSet { return make(packetSet, (n+63)/64) }
+
+// newPacketSets returns k empty sets over a timeline of n packets, cut
+// from one allocation.
+func newPacketSets(k, n int) []packetSet {
+	words := (n + 63) / 64
+	backing := make([]uint64, k*words)
+	sets := make([]packetSet, k)
+	for i := range sets {
+		sets[i] = backing[i*words : (i+1)*words : (i+1)*words]
+	}
+	return sets
+}
 
 func (s packetSet) set(i int) { s[uint(i)/64] |= 1 << (uint(i) % 64) }
 
