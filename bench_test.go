@@ -1,25 +1,17 @@
-// Benchmarks that regenerate every table and figure of the paper's
-// evaluation. Each benchmark times one full experiment and, on the first
-// iteration, logs the regenerated rows/series next to the paper's
-// published values (recorded in EXPERIMENTS.md). Run with:
+// BenchmarkExperiments regenerates every table and figure of the paper's
+// evaluation: one sub-benchmark per experiment of internal/report, named
+// by its msbench id, at msbench's defaults (30 trials, seed 1). Each
+// times one run and, on the first iteration, logs the section msbench
+// prints for that id. Run with:
 //
-//	go test -bench=. -benchmem
-//
-// or through cmd/msbench for plain-text output.
+//	go test -run - -bench Experiments -benchtime 1x .
 package multiscatter_test
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
-	"multiscatter"
-	"multiscatter/internal/baseline"
-	"multiscatter/internal/energy"
-	"multiscatter/internal/fpga"
-	"multiscatter/internal/overlay"
-	"multiscatter/internal/radio"
-	"multiscatter/internal/stats"
+	"multiscatter/internal/report"
 )
 
 // logOnce logs s on the first benchmark iteration only.
@@ -30,292 +22,16 @@ func logOnce(b *testing.B, i int, format string, args ...any) {
 	}
 }
 
-func BenchmarkTable1Comparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "\n%-18s %10s %10s %10s\n", "system", "diversity", "productive", "1-receiver")
-		for _, name := range baseline.Table1Order {
-			c := baseline.Table1[name]
-			mark := func(v bool) string {
-				if v {
-					return "yes"
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range report.IDs() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var sb strings.Builder
+				if err := report.WriteExperiment(&sb, id, report.Options{}); err != nil {
+					b.Fatal(err)
 				}
-				return "-"
+				logOnce(b, i, "\n%s", sb.String())
 			}
-			fmt.Fprintf(&sb, "%-18s %10s %10s %10s\n", name,
-				mark(c.ExcitationDiversity), mark(c.ProductiveCarrier), mark(c.SingleCommodityReceiver))
-		}
-		logOnce(b, i, "Table 1 (capability matrix):%s", sb.String())
-	}
-}
-
-func BenchmarkTable2Resources(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		naive := fpga.NaiveMultiprotocol(120, 4)
-		nano := fpga.QuantizedMultiprotocol(120, 4)
-		logOnce(b, i, "Table 2: naive = %d mult / %d add / %d DFF (paper 480/476/133364); "+
-			"nano = %d DFF (paper 2860); fits AGLN250 = %v",
-			naive.Multipliers, naive.Adders, naive.DFFs, nano.DFFs, nano.FitsAGLN250())
-	}
-}
-
-func BenchmarkTable3Power(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := fpga.NewPowerBreakdown()
-		logOnce(b, i, "Table 3: pkt-det FPGA %.1f + ADC %.0f + mod %.1f + RF %.1f + osc %.1f = %.1f mW (paper 279.5)",
-			p.PacketDetectFPGAmW, p.ADCmW, p.ModulationFPGAmW, p.RFSwitchMW, p.OscillatorMW, p.TotalMW())
-	}
-}
-
-func BenchmarkTable4Exchange(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := energy.ExchangeTable(fpga.NewPowerBreakdown().TotalMW() / 1e3)
-		if i == 0 {
-			var sb strings.Builder
-			fmt.Fprintf(&sb, "\n%-10s %12s %12s %12s\n", "protocol", "pkts/round", "indoor (s)", "outdoor (s)")
-			for _, r := range rows {
-				fmt.Fprintf(&sb, "%-10s %12.1f %12.4g %12.4g\n",
-					r.Protocol, r.PacketsPerRound, r.IndoorSeconds, r.OutdoorSeconds)
-			}
-			b.Logf("Table 4 (paper: 360/360/12.6/3.6 pkts; 0.6/0.6/17.2/60.1 s indoor):%s", sb.String())
-		}
-	}
-}
-
-func BenchmarkTable5IdentPower(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := []fpga.IdentSetup{
-			{RateMsps: 20, Quantized: false},
-			{RateMsps: 20, Quantized: true},
-			{RateMsps: 2.5, Quantized: true},
-		}
-		if i == 0 {
-			var sb strings.Builder
-			for _, s := range rows {
-				c := fpga.IdentCostOf(s)
-				fmt.Fprintf(&sb, "\n  %4.3g MS/s quant=%-5v -> %6.3g mW, %6d LUTs (saving %.0f×)",
-					s.RateMsps, s.Quantized, c.PowerMW, c.LUTs, fpga.PowerSavingFactor(s))
-			}
-			b.Logf("Table 5 (paper: 564/12/2 mW, 282× saving):%s", sb.String())
-		}
-	}
-}
-
-func BenchmarkTable6Modes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "\n%-10s %3s %8s %8s %8s\n", "protocol", "γ", "κ mode1", "κ mode2", "κ mode3")
-		for _, p := range radio.Protocols {
-			fmt.Fprintf(&sb, "%-10s %3d %8d %8d %8s\n", p, overlay.Gammas[p],
-				overlay.Kappa(p, overlay.Mode1, 0), overlay.Kappa(p, overlay.Mode2, 0),
-				fmt.Sprintf("%d·n", overlay.Gammas[p]))
-		}
-		logOnce(b, i, "Table 6:%s", sb.String())
-	}
-}
-
-func BenchmarkFig4Rectifier(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := runFig4()
-		logOnce(b, i, "Fig 4: clamp boost = %.2f× basic; fidelity ours %.3f vs WISP %.3f (paper: clamp higher voltage; WISP distorts)",
-			res.clampBoost, res.oursFidelity, res.wispFidelity)
-	}
-}
-
-func BenchmarkFig5Identification(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		c, _, err := multiscatter.RunIdentification(multiscatter.IdentifyOptions{
-			ADCRate: 20e6, Ordered: true, Trials: 20, SNRLoDB: 12, SNRHiDB: 21, Seed: 1,
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		logOnce(b, i, "Fig 5b (20 Msps, full precision): average accuracy %.3f (paper 0.997)\n%s",
-			c.Average(), c)
-	}
-}
-
-func BenchmarkFig7OrderedMatching(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := multiscatter.IdentifyOptions{
-			ADCRate: 10e6, Quantized: true, Trials: 20, Seed: 3, SNRLoDB: 6, SNRHiDB: 18,
-		}
-		opts.Ordered = false
-		blind, _, err := multiscatter.RunIdentification(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts.Ordered = true
-		ordered, _, err := multiscatter.RunIdentification(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		logOnce(b, i, "Fig 7 (10 Msps + quantization): blind %.3f vs ordered %.3f (paper 0.906 vs 0.976)",
-			blind.Average(), ordered.Average())
-	}
-}
-
-func BenchmarkFig8LowRate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		mk := func(rate float64, extended bool) float64 {
-			c, _, err := multiscatter.RunIdentification(multiscatter.IdentifyOptions{
-				ADCRate: rate, Quantized: true, Ordered: true, Extended: extended,
-				Trials: 20, Seed: 5,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return c.Average()
-		}
-		short25 := mk(2.5e6, false)
-		ext25 := mk(2.5e6, true)
-		ext1 := mk(1e6, true)
-		logOnce(b, i, "Fig 8: 2.5 Msps short %.3f → extended %.3f (paper 0.485 → 0.93); 1 Msps %.3f (paper ≈0.5)",
-			short25, ext25, ext1)
-	}
-}
-
-func BenchmarkFig9BaselineFailure(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bers, offsets := multiscatter.RunBaselineFailure()
-		if i == 0 {
-			var sb strings.Builder
-			for _, r := range bers {
-				fmt.Fprintf(&sb, "\n  %-10s wall=%-9s tag BER %.4f", r.System, r.Wall, r.TagBER)
-			}
-			b.Logf("Fig 9a (paper: 0.2%% none → 59%% concrete):%s\nFig 9b: max offset %v symbols (paper: up to 8)",
-				sb.String(), offsets.MaxY())
-		}
-	}
-}
-
-func BenchmarkFig12Tradeoffs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := multiscatter.RunTradeoffs()
-		if i == 0 {
-			var sb strings.Builder
-			fmt.Fprintf(&sb, "\n%-10s %-7s %12s %12s %12s\n", "protocol", "mode", "productive", "tag", "aggregate")
-			for _, r := range rows {
-				fmt.Fprintf(&sb, "%-10s %-7s %12.1f %12.1f %12.1f\n",
-					r.Protocol, r.Mode, r.ProductiveKbps, r.TagKbps, r.Aggregate())
-			}
-			b.Logf("Fig 12 (kbps; paper mode-1 BLE aggregate 278.4 = 141.6 + 136.8):%s", sb.String())
-		}
-	}
-}
-
-func benchRangeFig(b *testing.B, name string, ch *multiscatter.ChannelModel, paperRanges string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if i > 0 {
-			for _, p := range multiscatter.Protocols {
-				multiscatter.RangeSweep(p, ch, 30, 2)
-			}
-			continue
-		}
-		rssi := map[radio.Protocol]*stats.Series{}
-		ber := map[radio.Protocol]*stats.Series{}
-		tput := map[radio.Protocol]*stats.Series{}
-		ranges := map[radio.Protocol]float64{}
-		for _, p := range multiscatter.Protocols {
-			rssi[p] = &stats.Series{Name: p.String(), Unit: "dBm"}
-			ber[p] = &stats.Series{Name: p.String()}
-			tput[p] = &stats.Series{Name: p.String(), Unit: "kbps"}
-			pts := multiscatter.RangeSweep(p, ch, 30, 2)
-			for _, pt := range pts {
-				rssi[p].Add(pt.DistanceM, pt.RSSIdBm)
-				ber[p].Add(pt.DistanceM, pt.TagBER)
-				tput[p].Add(pt.DistanceM, pt.AggregateKbps)
-			}
-			link := multiscatter.NewLink(p, ch)
-			ranges[p] = link.MaxRange(0.5, 40)
-		}
-		b.Logf("%s max ranges: 11b=%.1f m, 11n=%.1f m, ZigBee=%.1f m, BLE=%.1f m (paper %s)\nRSSI:\n%sBER:\n%sThroughput:\n%s",
-			name,
-			ranges[multiscatter.Protocol80211b], ranges[multiscatter.Protocol80211n],
-			ranges[multiscatter.ProtocolZigBee], ranges[multiscatter.ProtocolBLE],
-			paperRanges,
-			stats.Table("dist (m)", rssi[multiscatter.Protocol80211b], rssi[multiscatter.ProtocolBLE], rssi[multiscatter.ProtocolZigBee]),
-			stats.Table("dist (m)", ber[multiscatter.Protocol80211b], ber[multiscatter.ProtocolBLE], ber[multiscatter.ProtocolZigBee]),
-			stats.Table("dist (m)", tput[multiscatter.Protocol80211b], tput[multiscatter.Protocol80211n], tput[multiscatter.ProtocolBLE], tput[multiscatter.ProtocolZigBee]))
-	}
-}
-
-func BenchmarkFig13LoS(b *testing.B) {
-	benchRangeFig(b, "Fig 13 (LoS)", multiscatter.NewLoSChannel(), "28/22/20 m")
-}
-
-func BenchmarkFig14NLoS(b *testing.B) {
-	benchRangeFig(b, "Fig 14 (NLoS)", multiscatter.NewNLoSChannel(), "22/18/16 m")
-}
-
-func BenchmarkFig15Occlusion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := multiscatter.RunOcclusion()
-		if i == 0 {
-			var sb strings.Builder
-			for _, r := range rows {
-				fmt.Fprintf(&sb, "\n  %-22s %8.1f kbps", r.System, r.TagKbps)
-			}
-			b.Logf("Fig 15 (drywall on original channel; paper: 136/121/94/33):%s", sb.String())
-		}
-	}
-}
-
-func BenchmarkFig16Collisions(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		timeDom, freqDom := multiscatter.RunCollisions(11)
-		if i == 0 {
-			var sb strings.Builder
-			sb.WriteString("\n  time-domain (11n + BLE):")
-			for _, r := range timeDom {
-				fmt.Fprintf(&sb, "\n    %-8v alone %7.1f → collided %7.1f kbps", r.Protocol, r.AloneKbps, r.CollidedKbps)
-			}
-			sb.WriteString("\n  frequency-domain (11n + ZigBee):")
-			for _, r := range freqDom {
-				fmt.Fprintf(&sb, "\n    %-8v alone %7.1f → collided %7.1f kbps", r.Protocol, r.AloneKbps, r.CollidedKbps)
-			}
-			b.Logf("Fig 16 (paper: BLE 278→92, 11n ~unchanged; freq-domain both ~unchanged):%s", sb.String())
-		}
-	}
-}
-
-func BenchmarkFig17RefModulation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := multiscatter.RunRefModulation(-5, 10, 21)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			var sb strings.Builder
-			for _, r := range rows {
-				fmt.Fprintf(&sb, "\n  %-12s tag BER %.4f", r.Label, r.TagBER)
-			}
-			b.Logf("Fig 17 (paper: all ≤0.6%% for 11b; stable for 11n):%s", sb.String())
-		}
-	}
-}
-
-func BenchmarkFig18Diversity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := multiscatter.RunDiversity()
-		logOnce(b, i, "Fig 18a: multiscatter %.1f kbps busy %.0f%% vs single-protocol %.1f kbps busy %.0f%% (paper: single tag idle 50%%)",
-			res.MultiKbps, res.MultiBusyFrac*100, res.SingleKbps, res.SingleBusyFrac*100)
-	}
-}
-
-func BenchmarkFig18CarrierPick(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := multiscatter.RunCarrierPick()
-		logOnce(b, i, "Fig 18b: picked %v at %.1f kbps (target %.1f, met=%v); 802.11b-only %.1f kbps met=%v",
-			res.Picked, res.PickedKbps, multiscatter.BraceletGoodputKbps, res.MeetsTarget,
-			res.SingleKbps, res.SingleMeets)
-	}
-}
-
-func BenchmarkDownlinkRange(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		got := runDownlink()
-		logOnce(b, i, "§2.2.1 downlink range: %.2f m (paper 0.9 m)", got)
 	}
 }

@@ -1,7 +1,7 @@
 // Command msbench regenerates the tables and figures of "Multiprotocol
 // Backscatter for Personal IoT Sensors" (CoNEXT 2020) from the
 // multiscatter simulator and prints them next to the paper's published
-// values.
+// values, as the markdown sections of internal/report.
 //
 // Usage:
 //
@@ -20,24 +20,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
-	"multiscatter"
-	"multiscatter/internal/analog"
-	"multiscatter/internal/baseline"
-	"multiscatter/internal/channel"
 	"multiscatter/internal/clilog"
-	"multiscatter/internal/core"
-	"multiscatter/internal/dsp"
-	"multiscatter/internal/energy"
-	"multiscatter/internal/fpga"
 	"multiscatter/internal/obs/obsflag"
-	"multiscatter/internal/overlay"
-	"multiscatter/internal/phy/dsss"
-	"multiscatter/internal/radio"
 	"multiscatter/internal/report"
-	"multiscatter/internal/stats"
 )
 
 var (
@@ -53,80 +42,53 @@ func main() {
 	lg := clilog.Setup("msbench")
 	lg.Debug("bench starting", "experiment", *experiment, "trials", *trials, "seed", *seed)
 	defer obsflag.Start("msbench")()
-	if *markdown != "" || *jsonOut != "" {
-		runReport()
-		return
-	}
-	runners := map[string]func(){
-		"table1":   table1,
-		"table2":   table2,
-		"table3":   table3,
-		"table4":   table4,
-		"table5":   table5,
-		"table6":   table6,
-		"fig4":     fig4,
-		"fig5":     fig5,
-		"fig7":     fig7,
-		"fig8":     fig8,
-		"fig9":     fig9,
-		"fig12":    fig12,
-		"fig13":    func() { rangeFig("Figure 13 (LoS)", multiscatter.NewLoSChannel(), "28 / 22 / 20 m") },
-		"fig14":    func() { rangeFig("Figure 14 (NLoS)", multiscatter.NewNLoSChannel(), "22 / 18 / 16 m") },
-		"fig15":    fig15,
-		"fig16":    fig16,
-		"fig17":    fig17,
-		"fig18":    fig18,
-		"downlink": downlink,
-	}
-	order := []string{
-		"table1", "table2", "table3", "table4", "table5", "table6",
-		"fig4", "fig5", "fig7", "fig8", "fig9", "fig12", "fig13", "fig14",
-		"fig15", "fig16", "fig17", "fig18", "downlink",
-	}
-	if *experiment == "all" {
-		for _, id := range order {
-			runners[id]()
-			fmt.Println()
-		}
-		return
-	}
-	run, ok := runners[*experiment]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; known: all %s\n", *experiment, strings.Join(order, " "))
+	if *experiment != "all" && !slices.Contains(report.IDs(), *experiment) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; known: all %s\n", *experiment, strings.Join(report.IDs(), " "))
 		os.Exit(2)
 	}
-	run()
+	o := report.Options{Trials: *trials, Seed: *seed}
+	var err error
+	switch {
+	case *markdown != "" || *jsonOut != "":
+		err = runReport(o)
+	case *experiment == "all":
+		err = report.Write(os.Stdout, o)
+	default:
+		err = report.WriteExperiment(os.Stdout, *experiment, o)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "msbench:", err)
+		os.Exit(1)
+	}
 }
 
-// runReport renders the markdown report and/or the machine-readable
-// metrics JSON (experiment id → metric → value) from one experiment run.
-func runReport() {
+// runReport renders the full markdown report and/or the machine-readable
+// metrics JSON (experiment id → metric → value) from one run of every
+// experiment.
+func runReport(o report.Options) error {
 	out := io.Discard
 	var mdFile *os.File
 	if *markdown != "" {
 		f, err := os.Create(*markdown)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "msbench:", err)
-			os.Exit(1)
+			return err
 		}
 		mdFile, out = f, f
 	}
-	metrics, err := report.WriteMetrics(out, report.Options{Trials: *trials, Seed: *seed})
+	metrics, err := report.WriteMetrics(out, o)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "msbench:", err)
-		os.Exit(1)
+		return err
 	}
 	if mdFile != nil {
 		if err := mdFile.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "msbench:", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Printf("wrote %s\n", *markdown)
 	}
 
 	path := *jsonOut
 	if path == "none" {
-		return
+		return nil
 	}
 	if path == "" {
 		path = filepath.Join(filepath.Dir(*markdown),
@@ -137,279 +99,19 @@ func runReport() {
 		Trials    int            `json:"trials"`
 		Seed      int64          `json:"seed"`
 		Metrics   report.Metrics `json:"metrics"`
-	}{time.Now().Format(time.RFC3339), *trials, *seed, metrics}
+	}{time.Now().Format(time.RFC3339), o.Trials, o.Seed, metrics}
 	blob, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "msbench:", err)
-		os.Exit(1)
+		return err
 	}
 	blob = append(blob, '\n')
 	if path == "-" {
-		os.Stdout.Write(blob)
-		return
+		_, err = os.Stdout.Write(blob)
+		return err
 	}
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "msbench:", err)
-		os.Exit(1)
+		return err
 	}
 	fmt.Printf("wrote %s\n", path)
-}
-
-func header(title, paper string) {
-	fmt.Printf("== %s\n   paper: %s\n", title, paper)
-}
-
-func table1() {
-	header("Table 1 — backscatter system comparison", "only multiscatter satisfies all three")
-	fmt.Printf("%-18s %10s %10s %10s\n", "system", "diversity", "productive", "1-receiver")
-	for _, name := range baseline.Table1Order {
-		c := baseline.Table1[name]
-		mark := func(v bool) string {
-			if v {
-				return "yes"
-			}
-			return "-"
-		}
-		fmt.Printf("%-18s %10s %10s %10s\n", name,
-			mark(c.ExcitationDiversity), mark(c.ProductiveCarrier), mark(c.SingleCommodityReceiver))
-	}
-}
-
-func table2() {
-	header("Table 2 — FPGA resources for 4-protocol matching", "naive 480/476/133,364; nano 2,860 DFFs")
-	naive := fpga.NaiveMultiprotocol(120, 4)
-	one := fpga.NaiveCorrelator(120)
-	nano := fpga.QuantizedMultiprotocol(120, 4)
-	fmt.Printf("%-22s %12s %8s %14s\n", "implementation", "multipliers", "adders", "D-flip-flops")
-	for _, p := range radio.Protocols {
-		fmt.Printf("%-22s %12d %8d %14d\n", p.String()+" (naive)", one.Multipliers, one.Adders, one.DFFs)
-	}
-	fmt.Printf("%-22s %12d %8d %14d\n", "total (naive)", naive.Multipliers, naive.Adders, naive.DFFs)
-	fmt.Printf("%-22s %12d %8d %14d   fits AGLN250: %v\n", "nano FPGA impl.",
-		nano.Multipliers, nano.Adders, nano.DFFs, nano.FitsAGLN250())
-}
-
-func table3() {
-	header("Table 3 — COTS prototype power", "total 279.5 mW at 20 Msps")
-	p := fpga.NewPowerBreakdown()
-	fmt.Printf("  packet detection FPGA  %7.1f mW\n", p.PacketDetectFPGAmW)
-	fmt.Printf("  ADC (20 Msps)          %7.1f mW\n", p.ADCmW)
-	fmt.Printf("  modulation FPGA        %7.1f mW\n", p.ModulationFPGAmW)
-	fmt.Printf("  RF switch              %7.1f mW\n", p.RFSwitchMW)
-	fmt.Printf("  oscillator (20 MHz)    %7.1f mW\n", p.OscillatorMW)
-	fmt.Printf("  total                  %7.1f mW\n", p.TotalMW())
-	low := p.AtADCRate(2.5)
-	fmt.Printf("  (at 2.5 Msps the ADC drops to %.1f mW, total %.1f mW)\n", low.ADCmW, low.TotalMW())
-}
-
-func table4() {
-	header("Table 4 — tag-data exchange times", "360/360/12.6/3.6 pkts; 0.6/0.6/17.2/60.1 s indoor")
-	rows := energy.ExchangeTable(fpga.NewPowerBreakdown().TotalMW() / 1e3)
-	fmt.Printf("%-10s %12s %14s %14s\n", "protocol", "pkts/round", "indoor", "outdoor")
-	for _, r := range rows {
-		fmt.Printf("%-10s %12.1f %13.3gs %13.3gs\n",
-			r.Protocol, r.PacketsPerRound, r.IndoorSeconds, r.OutdoorSeconds)
-	}
-	fmt.Printf("  (round energy %.1f mJ; harvest %.3gs indoor / %.3gs outdoor)\n",
-		energy.RoundEnergyJ()*1e3,
-		energy.NewMP337().HarvestSeconds(energy.IndoorLux),
-		energy.NewMP337().HarvestSeconds(energy.OutdoorLux))
-}
-
-func table5() {
-	header("Table 5 — identification power/LUTs", "564 → 12 → 2 mW (282×)")
-	for _, s := range []fpga.IdentSetup{
-		{RateMsps: 20, Quantized: false},
-		{RateMsps: 20, Quantized: true},
-		{RateMsps: 2.5, Quantized: true},
-	} {
-		c := fpga.IdentCostOf(s)
-		fmt.Printf("  %4.3g MS/s, ±1 quant=%-5v  %7.3g mW  %6d LUTs  (%.0f× below naive)\n",
-			s.RateMsps, s.Quantized, c.PowerMW, c.LUTs, fpga.PowerSavingFactor(s))
-	}
-}
-
-func table6() {
-	header("Table 6 — overlay modes", "κ = 2γ / 4γ / γ·n")
-	fmt.Printf("%-10s %3s %9s %9s %9s\n", "protocol", "γ", "κ mode1", "κ mode2", "κ mode3")
-	for _, p := range radio.Protocols {
-		fmt.Printf("%-10s %3d %9d %9d %8d·n\n", p, overlay.Gammas[p],
-			overlay.Kappa(p, overlay.Mode1, 0), overlay.Kappa(p, overlay.Mode2, 0), overlay.Gammas[p])
-	}
-}
-
-func fig4() {
-	header("Figure 4 — rectifier comparison", "clamp raises output; WISP distorts 802.11b")
-	const rate = 22e6
-	env := make([]float64, 2200)
-	for i := range env {
-		if (i/110)%2 == 0 {
-			env[i] = 0.3
-		}
-	}
-	basic := analog.NewBasicRectifier().Detect(env, rate)
-	clamped := analog.NewMultiscatterRectifier().Detect(env, rate)
-	fmt.Printf("  mean output: basic %.3f V, clamped %.3f V\n",
-		dsp.MeanFloat(basic), dsp.MeanFloat(clamped))
-
-	mod := dsss.NewModulator(dsss.Config{Rate: dsss.Rate1Mbps})
-	w, _ := mod.Modulate(radio.Packet{Payload: []byte{0xA5, 0x5A, 0x3C}})
-	sig := dsp.Envelope(w.IQ)
-	for i := range sig {
-		if (i/22)%2 == 1 {
-			sig[i] *= 0.2
-		}
-		sig[i] *= 0.4
-	}
-	ours := analog.NewMultiscatterRectifier().Detect(sig, w.Rate)
-	wisp := analog.NewWISPRectifier().Detect(sig, w.Rate)
-	ref := dsp.RemoveDC(dsp.CloneFloat(sig))
-	fmt.Printf("  802.11b envelope fidelity: ours %.3f, WISP %.3f (correlation)\n",
-		dsp.NormCorrFloat(dsp.RemoveDC(dsp.CloneFloat(ours)), ref),
-		dsp.NormCorrFloat(dsp.RemoveDC(dsp.CloneFloat(wisp)), ref))
-}
-
-func identRun(rate float64, quant, ext, ordered bool) *multiscatter.Confusion {
-	c, _, err := multiscatter.RunIdentification(multiscatter.IdentifyOptions{
-		ADCRate: rate, Quantized: quant, Extended: ext, Ordered: ordered,
-		Trials: *trials, Seed: *seed,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	return c
-}
-
-func fig5() {
-	header("Figure 5 — identification at 20 Msps, full precision", "≥99.3% all, 99.7% average")
-	c := identRun(20e6, false, false, true)
-	fmt.Print(c)
-}
-
-func fig7() {
-	header("Figure 7 — blind vs ordered at 10 Msps + quantization", "0.906 vs 0.976")
-	blind := identRun(10e6, true, false, false)
-	ordered := identRun(10e6, true, false, true)
-	fmt.Printf("  blind   average %.3f\n  ordered average %.3f\n", blind.Average(), ordered.Average())
-}
-
-func fig8() {
-	header("Figure 8 — low sampling rates", "2.5 Msps: 0.485 → 0.93 extended; 1 Msps ≈ 0.5")
-	fmt.Printf("  2.5 Msps, 8 µs window:  %.3f\n", identRun(2.5e6, true, false, true).Average())
-	fmt.Printf("  2.5 Msps, 40 µs window: %.3f\n", identRun(2.5e6, true, true, true).Average())
-	fmt.Printf("  1 Msps, 40 µs window:   %.3f\n", identRun(1e6, true, true, true).Average())
-}
-
-func fig9() {
-	header("Figure 9 — baseline original-channel dependence", "BER 0.2% → 59%; offsets to 8 symbols")
-	bers, offsets := multiscatter.RunBaselineFailure()
-	for _, r := range bers {
-		fmt.Printf("  %-10s wall=%-9s tag BER %.4f\n", r.System, r.Wall, r.TagBER)
-	}
-	fmt.Printf("  Hitchhike modulation offset at 30 m: %.0f symbols\n", offsets.MaxY())
-}
-
-func fig12() {
-	header("Figure 12 — productive/tag trade-offs", "mode-1 BLE aggregate 278.4 kbps")
-	fmt.Printf("%-10s %-7s %12s %12s %12s\n", "protocol", "mode", "productive", "tag", "aggregate")
-	for _, r := range multiscatter.RunTradeoffs() {
-		fmt.Printf("%-10s %-7s %11.1fk %11.1fk %11.1fk\n",
-			r.Protocol, r.Mode, r.ProductiveKbps, r.TagKbps, r.Aggregate())
-	}
-}
-
-func rangeFig(title string, ch *multiscatter.ChannelModel, paper string) {
-	header(title+" — RSSI / BER / throughput vs distance", "max ranges "+paper)
-	series := make([]*stats.Series, 0, 4)
-	for _, p := range multiscatter.Protocols {
-		s := &stats.Series{Name: p.String(), Unit: "kbps"}
-		for _, pt := range multiscatter.RangeSweep(p, ch, 30, 2) {
-			s.Add(pt.DistanceM, pt.AggregateKbps)
-		}
-		series = append(series, s)
-		link := multiscatter.NewLink(p, ch)
-		fmt.Printf("  %-8v max range %.1f m\n", p, link.MaxRange(0.5, 40))
-	}
-	fmt.Print(stats.Table("dist (m)", series...))
-}
-
-func fig15() {
-	header("Figure 15 — occluded original channel", "multiscatter 136/121 vs Hitchhike 94, FreeRider 33")
-	for _, r := range multiscatter.RunOcclusion() {
-		fmt.Printf("  %-22s %8.1f kbps\n", r.System, r.TagKbps)
-	}
-	fmt.Println("  occlusion sweep (Double-decker decodes ONE superposed stream — no original receiver to lose):")
-	for _, p := range multiscatter.RunOcclusionSweep() {
-		fmt.Printf("    %-10v double-decker %6.1f  hitchhike %6.1f  freerider %6.1f kbps\n",
-			p.Wall, p.DoubleDeckerKbps, p.HitchhikeKbps, p.FreeRiderKbps)
-	}
-	ber, err := multiscatter.RunDoubleDeckerDecode(3, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("  waveform-level single-receiver decode: tag BER %.4f over 3 DSSS frames\n", ber)
-}
-
-func fig16() {
-	header("Figure 16 — collided excitations", "BLE 278 → 92; others ~unchanged")
-	timeDom, freqDom := multiscatter.RunCollisions(*seed)
-	fmt.Println("  time-domain collision (802.11n + BLE):")
-	for _, r := range timeDom {
-		fmt.Printf("    %-8v alone %7.1f → collided %7.1f kbps\n", r.Protocol, r.AloneKbps, r.CollidedKbps)
-	}
-	fmt.Println("  frequency-domain collision (802.11n + ZigBee):")
-	for _, r := range freqDom {
-		fmt.Printf("    %-8v alone %7.1f → collided %7.1f kbps\n", r.Protocol, r.AloneKbps, r.CollidedKbps)
-	}
-	fmt.Println("  concurrent multi-tag OFDM (joint subcarrier-group decode vs capture):")
-	pts, err := multiscatter.ConcurrencySweep(4, 2*time.Second, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	for _, p := range pts {
-		fmt.Printf("    n=%d  joint %6.2f kbps (Jain %.3f)  capture %6.2f kbps\n",
-			p.N, p.AggregateKbps, p.Jain, p.BaselineKbps)
-	}
-	joint, err := multiscatter.RunJointOFDM([]float64{0, 5, 15}, 3, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Println("  waveform-level joint decode (per-tag BER, BPSK):")
-	for _, p := range joint {
-		fmt.Printf("    k=%d snr=%2gdB  tag BER %.4f  (%d bits/frame/tag, %d aggregate)\n",
-			p.K, p.SNRdB, p.TagBER, p.TagBitsPerFrame, p.AggregateBitsPerFrame)
-	}
-}
-
-func fig17() {
-	header("Figure 17 — reference-symbol modulations", "tag BER stable, ≤0.6% for 802.11b")
-	rows, err := multiscatter.RunRefModulation(-5, 40, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	for _, r := range rows {
-		fmt.Printf("  %-12s tag BER %.4f\n", r.Label, r.TagBER)
-	}
-}
-
-func fig18() {
-	header("Figure 18 — excitation diversity", "multiscatter busy 100%; picks 802.11n for 6.3 kbps")
-	d := multiscatter.RunDiversity()
-	fmt.Printf("  18a: multiscatter %.1f kbps (busy %.0f%%) vs 802.11n-only %.1f kbps (busy %.0f%%)\n",
-		d.MultiKbps, d.MultiBusyFrac*100, d.SingleKbps, d.SingleBusyFrac*100)
-	c := multiscatter.RunCarrierPick()
-	fmt.Printf("  18b: picked %v at %.1f kbps (target %.1f met=%v); 802.11b-only %.1f kbps met=%v\n",
-		c.Picked, c.PickedKbps, multiscatter.BraceletGoodputKbps, c.MeetsTarget, c.SingleKbps, c.SingleMeets)
-}
-
-func downlink() {
-	header("§2.2.1 — downlink range", "0.9 m at 30 dBm / 0.15 V threshold")
-	got := core.DownlinkRange(analog.NewMultiscatterRectifier(), channel.NewLoS())
-	basic := core.DownlinkRange(analog.NewBasicRectifier(), channel.NewLoS())
-	fmt.Printf("  clamped rectifier: %.2f m; basic rectifier: %.2f m\n", got, basic)
+	return nil
 }

@@ -7,8 +7,10 @@ import (
 	"sync"
 	"time"
 
+	"multiscatter/internal/analog"
 	"multiscatter/internal/baseline"
 	"multiscatter/internal/channel"
+	"multiscatter/internal/dsp"
 	"multiscatter/internal/excite"
 	"multiscatter/internal/overlay"
 	"multiscatter/internal/phy/dsss"
@@ -798,4 +800,46 @@ func RunJointOFDM(snrsDB []float64, packets int, seed int64) ([]JointOFDMPoint, 
 		}
 	}
 	return out, nil
+}
+
+// RectifierResult summarizes Figure 4.
+type RectifierResult struct {
+	// BasicMeanV and ClampedMeanV are the mean outputs of the basic and
+	// the clamped (multiscatter) rectifier on one square envelope.
+	BasicMeanV, ClampedMeanV float64
+	// OursFidelity and WISPFidelity correlate the multiscatter and the
+	// WISP rectifier's outputs with an 802.11b packet's envelope.
+	OursFidelity, WISPFidelity float64
+}
+
+// RunRectifiers computes Figure 4: the clamp stage raises the output of
+// a 0.3 V square envelope, and the multiscatter rectifier tracks an
+// 802.11b envelope the WISP rectifier distorts.
+func RunRectifiers() RectifierResult {
+	const rate = 22e6
+	env := make([]float64, 2200)
+	for i := range env {
+		if (i/110)%2 == 0 {
+			env[i] = 0.3
+		}
+	}
+	res := RectifierResult{
+		BasicMeanV:   dsp.MeanFloat(analog.NewBasicRectifier().Detect(env, rate)),
+		ClampedMeanV: dsp.MeanFloat(analog.NewMultiscatterRectifier().Detect(env, rate)),
+	}
+
+	mod := dsss.NewModulator(dsss.Config{Rate: dsss.Rate1Mbps})
+	w, _ := mod.Modulate(radio.Packet{Payload: []byte{0xA5, 0x5A, 0x3C}})
+	sig := dsp.Envelope(w.IQ)
+	for i := range sig {
+		if (i/22)%2 == 1 {
+			sig[i] *= 0.2
+		}
+		sig[i] *= 0.4
+	}
+	ref := dsp.RemoveDC(dsp.CloneFloat(sig))
+	fidelity := func(out []float64) float64 { return dsp.NormCorrFloat(dsp.RemoveDC(out), ref) }
+	res.OursFidelity = fidelity(analog.NewMultiscatterRectifier().Detect(sig, w.Rate))
+	res.WISPFidelity = fidelity(analog.NewWISPRectifier().Detect(sig, w.Rate))
+	return res
 }

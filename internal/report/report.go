@@ -1,14 +1,20 @@
-// Package report renders a complete experimental report — every table
-// and figure of the paper regenerated, with the paper's published values
-// alongside — as a single markdown document. cmd/msbench uses it for
-// the -markdown flag; CI pipelines can diff successive reports.
+// Package report regenerates the paper's evaluation — every table and
+// figure, with the paper's published values alongside — as one markdown
+// document and the machine-readable metrics of BENCH_<date>.json. The
+// evaluation is an ordered list of experiments, one per msbench
+// -experiment id: each runs once, records its metrics and renders its
+// section. cmd/msbench selects and writes them, and the root
+// BenchmarkExperiments times them; CI pipelines can diff successive
+// reports.
 package report
 
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
+	"multiscatter/internal/analog"
 	"multiscatter/internal/baseline"
 	"multiscatter/internal/channel"
 	"multiscatter/internal/core"
@@ -19,6 +25,7 @@ import (
 	"multiscatter/internal/overlay"
 	"multiscatter/internal/radio"
 	"multiscatter/internal/serve"
+	"multiscatter/internal/stats"
 )
 
 // Options configures report generation.
@@ -49,6 +56,48 @@ func (o Options) withDefaults() Options {
 // can diff successive BENCH_<date>.json files numerically.
 type Metrics map[string]map[string]float64
 
+// experiment regenerates one table or figure: run records its metrics
+// and renders the body of its section.
+type experiment struct {
+	// id is the msbench -experiment id the experiment answers.
+	id string
+	// title heads the section; paper quotes the published values.
+	title, paper string
+	run          func(r *renderer) error
+}
+
+// experiments is the evaluation in report order.
+var experiments = []experiment{
+	{"table1", "System comparison (Table 1)", "only multiscatter satisfies all three", table1},
+	{"table2", "FPGA resources for 4-protocol matching (Table 2)", "naive 480/476/133,364; nano 2,860 DFFs", table2},
+	{"table3", "COTS prototype power (Table 3)", "total 279.5 mW at 20 Msps", table3},
+	{"table4", "Tag-data exchange times (Table 4)", "360/360/12.6/3.6 pkts; 0.6/0.6/17.2/60.1 s indoor", table4},
+	{"table5", "Identification power and LUTs (Table 5)", "564 → 12 → 2 mW (282×)", table5},
+	{"table6", "Overlay modes (Table 6)", "κ = 2γ / 4γ / γ·n", table6},
+	{"fig4", "Rectifier comparison (Figure 4)", "clamp raises output; WISP distorts 802.11b", fig4},
+	{"fig5", "Identification at 20 Msps, full precision (Figure 5)", "≥99.3% all, 99.7% average", fig5},
+	{"fig7", "Identification: blind vs ordered matching at 10 Msps + quantization (Figure 7)", "0.906 vs 0.976", fig7},
+	{"fig8", "Identification at low sampling rates (Figure 8)", "2.5 Msps: 0.485 → 0.93 extended; 1 Msps ≈ 0.5", fig8},
+	{"fig9", "Baselines: original-channel dependence (Figure 9)", "BER 0.2% → 59%; offsets to 8 symbols", fig9},
+	{"fig12", "Overlay trade-offs (Figure 12)", "mode-1 BLE aggregate 278.4 kbps (141.6 + 136.8)", fig12},
+	{"fig13", "Ranges in line of sight (Figure 13)", "max ranges 28 / 22 / 20 m", ranges("fig13", channel.NewLoS(), "28", "22", "20")},
+	{"fig14", "Ranges without line of sight (Figure 14)", "max ranges 22 / 18 / 16 m", ranges("fig14", channel.NewNLoS(), "22", "18", "16")},
+	{"fig15", "Baselines behind an occluded original channel (Figure 15)", "multiscatter 136/121 vs Hitchhike 94, FreeRider 33", fig15},
+	{"fig16", "Collided excitations (Figure 16)", "BLE 278 → 92; others ~unchanged", fig16},
+	{"fig17", "Reference-symbol modulations (Figure 17)", "tag BER stable, ≤0.6% for 802.11b", fig17},
+	{"fig18", "Excitation diversity (Figure 18)", "multiscatter busy 100%; picks 802.11n for 6.3 kbps", fig18},
+	{"downlink", "Downlink range (§2.2.1)", "0.9 m at 30 dBm / 0.15 V threshold", downlink},
+}
+
+// IDs returns the experiment ids in report order.
+func IDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
+}
+
 // Write runs every experiment and renders the report to w.
 func Write(w io.Writer, o Options) error {
 	_, err := WriteMetrics(w, o)
@@ -66,21 +115,25 @@ func WriteMetrics(w io.Writer, o Options) (Metrics, error) {
 	r := &renderer{w: w, o: o, metrics: Metrics{}}
 	r.printf("# %s\n\n", o.Title)
 	r.printf("Generated by `internal/report` with %d trials/protocol, seed %d.\n\n", o.Trials, o.Seed)
-
-	r.tables()
-	r.identification()
-	r.overlaySection()
-	r.ranges()
-	r.baselines()
-	r.diversity()
+	for _, e := range experiments {
+		r.section(e)
+	}
 	r.serveSection()
 	r.runMetrics(before)
 	return r.metrics, r.err
 }
 
-// Collect runs every experiment and returns only the metrics.
-func Collect(o Options) (Metrics, error) {
-	return WriteMetrics(io.Discard, o)
+// WriteExperiment runs the experiment that answers id and renders its
+// section to w.
+func WriteExperiment(w io.Writer, id string, o Options) error {
+	for _, e := range experiments {
+		if e.id == id {
+			r := &renderer{w: w, o: o.withDefaults(), metrics: Metrics{}}
+			r.section(e)
+			return r.err
+		}
+	}
+	return fmt.Errorf("report: unknown experiment %q (known: %s)", id, strings.Join(IDs(), " "))
 }
 
 type renderer struct {
@@ -107,8 +160,20 @@ func (r *renderer) metric(exp, name string, v float64) {
 	m[name] = v
 }
 
-func (r *renderer) tables() {
-	r.printf("## System comparison (Table 1)\n\n")
+// section runs e and renders its heading, the paper's values and its
+// body.
+func (r *renderer) section(e experiment) {
+	if r.err != nil {
+		return
+	}
+	r.printf("## %s\n\nPaper: %s.\n\n", e.title, e.paper)
+	if err := e.run(r); err != nil && r.err == nil {
+		r.err = err
+	}
+	r.printf("\n")
+}
+
+func table1(r *renderer) error {
 	r.printf("| system | excitation diversity | productive carrier | single commodity receiver |\n|---|---|---|---|\n")
 	yesNo := func(b bool) string {
 		if b {
@@ -121,32 +186,53 @@ func (r *renderer) tables() {
 		r.printf("| %s | %s | %s | %s |\n",
 			name, yesNo(c.ExcitationDiversity), yesNo(c.ProductiveCarrier), yesNo(c.SingleCommodityReceiver))
 	}
-	r.printf("\nDouble-decker (arXiv 2408.16280) postdates the paper's table; it joins the single-commodity-receiver column via superposition decoding (see docs/CHANNELS.md).\n\n")
+	r.printf("\nDouble-decker (arXiv 2408.16280) postdates the paper's table; it joins the single-commodity-receiver column via superposition decoding (see docs/CHANNELS.md).\n")
+	return nil
+}
 
-	r.printf("## Hardware-cost tables\n\n")
-
+func table2(r *renderer) error {
 	naive := fpga.NaiveMultiprotocol(120, 4)
+	one := fpga.NaiveCorrelator(120)
 	nano := fpga.QuantizedMultiprotocol(120, 4)
-	r.printf("**Table 2** — naive: %d multipliers / %d adders / %d DFFs (paper 480/476/133,364); nano: %d DFFs (paper 2,860), fits AGLN250: %v.\n\n",
-		naive.Multipliers, naive.Adders, naive.DFFs, nano.DFFs, nano.FitsAGLN250())
+	r.printf("| implementation | multipliers | adders | D flip-flops |\n|---|---|---|---|\n")
+	for _, p := range radio.Protocols {
+		r.printf("| %v (naive) | %d | %d | %d |\n", p, one.Multipliers, one.Adders, one.DFFs)
+	}
+	r.printf("| total (naive) | %d | %d | %d |\n", naive.Multipliers, naive.Adders, naive.DFFs)
+	r.printf("| nano FPGA | %d | %d | %d |\n", nano.Multipliers, nano.Adders, nano.DFFs)
+	r.printf("\nThe nano implementation fits the AGLN250: %v.\n", nano.FitsAGLN250())
 	r.metric("table2", "naive_multipliers", float64(naive.Multipliers))
 	r.metric("table2", "naive_adders", float64(naive.Adders))
 	r.metric("table2", "naive_dffs", float64(naive.DFFs))
 	r.metric("table2", "nano_dffs", float64(nano.DFFs))
+	return nil
+}
 
+func table3(r *renderer) error {
 	p := fpga.NewPowerBreakdown()
-	r.printf("**Table 3** — %.1f + %.0f + %.1f + %.1f + %.1f = **%.1f mW** (paper 279.5).\n\n",
+	r.printf("| component | power (mW) |\n|---|---|\n")
+	r.printf("| packet detection FPGA | %.1f |\n| ADC (20 Msps) | %.1f |\n| modulation FPGA | %.1f |\n| RF switch | %.1f |\n| oscillator (20 MHz) | %.1f |\n| **total** | **%.1f** |\n",
 		p.PacketDetectFPGAmW, p.ADCmW, p.ModulationFPGAmW, p.RFSwitchMW, p.OscillatorMW, p.TotalMW())
+	low := p.AtADCRate(2.5)
+	r.printf("\nAt 2.5 Msps the ADC drops to %.1f mW and the total to %.1f mW.\n", low.ADCmW, low.TotalMW())
 	r.metric("table3", "total_mw", p.TotalMW())
+	return nil
+}
 
-	r.printf("**Table 4** — tag-data exchange times (paper indoor: 0.6/0.6/17.2/60.1 s):\n\n")
+func table4(r *renderer) error {
 	r.printf("| protocol | pkts/round | indoor (s) | outdoor (s) |\n|---|---|---|---|\n")
-	for _, row := range energy.ExchangeTable(p.TotalMW() / 1e3) {
+	for _, row := range energy.ExchangeTable(fpga.NewPowerBreakdown().TotalMW() / 1e3) {
 		r.printf("| %v | %.1f | %.3g | %.3g |\n", row.Protocol, row.PacketsPerRound, row.IndoorSeconds, row.OutdoorSeconds)
 		r.metric("table4", fmt.Sprintf("indoor_s_%v", row.Protocol), row.IndoorSeconds)
 		r.metric("table4", fmt.Sprintf("outdoor_s_%v", row.Protocol), row.OutdoorSeconds)
 	}
-	r.printf("\n**Table 5** — identification power (paper 564 → 12 → 2 mW, 282×):\n\n")
+	h := energy.NewMP337()
+	r.printf("\nOne round takes %.1f mJ; harvesting it takes %.3g s indoors and %.3g s outdoors.\n",
+		energy.RoundEnergyJ()*1e3, h.HarvestSeconds(energy.IndoorLux), h.HarvestSeconds(energy.OutdoorLux))
+	return nil
+}
+
+func table5(r *renderer) error {
 	r.printf("| setup | power (mW) | LUTs | saving |\n|---|---|---|---|\n")
 	for _, s := range []fpga.IdentSetup{
 		{RateMsps: 20, Quantized: false},
@@ -158,99 +244,139 @@ func (r *renderer) tables() {
 			s.RateMsps, s.Quantized, c.PowerMW, c.LUTs, fpga.PowerSavingFactor(s))
 		r.metric("table5", fmt.Sprintf("power_mw_%.3gmsps_quant=%v", s.RateMsps, s.Quantized), c.PowerMW)
 	}
-	r.printf("\n")
+	return nil
 }
 
-func (r *renderer) identRun(rate float64, quant, ext, ordered bool) float64 {
-	if r.err != nil {
-		return 0
-	}
-	c, _, err := core.RunIdentification(core.IdentifyOptions{
-		ADCRate: rate, Quantized: quant, Extended: ext, Ordered: ordered,
-		Trials: r.o.Trials, Seed: r.o.Seed,
-	})
-	if err != nil {
-		r.err = err
-		return 0
-	}
-	return c.Average()
-}
-
-func (r *renderer) identification() {
-	r.printf("## Identification (Figures 5, 7, 8)\n\n")
-	r.printf("| operating point | measured | paper |\n|---|---|---|\n")
-	points := []struct {
-		label, key string
-		paper      string
-		rate       float64
-		quant      bool
-		ext        bool
-		ordered    bool
-	}{
-		{"20 Msps, full precision, ordered", "accuracy_20msps_full_ordered", "0.997", 20e6, false, false, true},
-		{"10 Msps, ±1, blind", "accuracy_10msps_quant_blind", "0.906", 10e6, true, false, false},
-		{"10 Msps, ±1, ordered", "accuracy_10msps_quant_ordered", "0.976", 10e6, true, false, true},
-		{"2.5 Msps, ±1, 8 µs window", "accuracy_2.5msps_quant_ordered", "0.485", 2.5e6, true, false, true},
-		{"2.5 Msps, ±1, 40 µs window", "accuracy_2.5msps_quant_extended", "0.93", 2.5e6, true, true, true},
-		{"1 Msps, ±1, 40 µs window", "accuracy_1msps_quant_extended", "≈0.5", 1e6, true, true, true},
-	}
-	for _, pt := range points {
-		acc := r.identRun(pt.rate, pt.quant, pt.ext, pt.ordered)
-		r.printf("| %s | %.3f | %s |\n", pt.label, acc, pt.paper)
-		r.metric("identification", pt.key, acc)
-	}
-	r.printf("\n")
-}
-
-func (r *renderer) overlaySection() {
-	r.printf("## Overlay trade-offs (Figure 12, Table 6)\n\n")
-	r.printf("| protocol | mode | productive (kbps) | tag (kbps) |\n|---|---|---|---|\n")
-	for _, row := range core.RunTradeoffs() {
-		r.printf("| %v | %v | %.1f | %.1f |\n", row.Protocol, row.Mode, row.ProductiveKbps, row.TagKbps)
-		r.metric("fig12", fmt.Sprintf("aggregate_kbps_%v_%v", row.Protocol, row.Mode), row.Aggregate())
-	}
-	r.printf("\nPaper anchor: mode-1 BLE aggregate 278.4 kbps (141.6 + 136.8).\n\n")
-}
-
-func (r *renderer) ranges() {
-	r.printf("## Ranges (Figures 13, 14)\n\n")
-	r.printf("| protocol | LoS range (m) | NLoS range (m) | paper LoS | paper NLoS |\n|---|---|---|---|---|\n")
-	paperLoS := map[radio.Protocol]string{
-		radio.Protocol80211b: "28", radio.Protocol80211n: "28",
-		radio.ProtocolZigBee: "22", radio.ProtocolBLE: "20",
-	}
-	paperNLoS := map[radio.Protocol]string{
-		radio.Protocol80211b: "22", radio.Protocol80211n: "22",
-		radio.ProtocolZigBee: "18", radio.ProtocolBLE: "16",
-	}
+func table6(r *renderer) error {
+	r.printf("| protocol | γ | κ mode 1 | κ mode 2 | κ mode 3 |\n|---|---|---|---|---|\n")
 	for _, p := range radio.Protocols {
-		l := core.NewLink(p, channel.NewLoS())
-		n := core.NewLink(p, channel.NewNLoS())
-		losM, nlosM := l.MaxRange(0.5, 40), n.MaxRange(0.5, 40)
-		r.printf("| %v | %.1f | %.1f | %s | %s |\n", p, losM, nlosM, paperLoS[p], paperNLoS[p])
-		r.metric("fig13", fmt.Sprintf("max_range_m_%v", p), losM)
-		r.metric("fig14", fmt.Sprintf("max_range_m_%v", p), nlosM)
+		r.printf("| %v | %d | %d | %d | %d·n |\n", p, overlay.Gammas[p],
+			overlay.Kappa(p, overlay.Mode1, 0), overlay.Kappa(p, overlay.Mode2, 0), overlay.Gammas[p])
 	}
-	r.printf("\n")
+	return nil
 }
 
-func (r *renderer) baselines() {
-	r.printf("## Baselines (Figures 9, 15)\n\n")
+func fig4(r *renderer) error {
+	res := core.RunRectifiers()
+	r.printf("Mean output on a 0.3 V square envelope: basic %.3f V, clamped %.3f V (%.2f×).\n\n",
+		res.BasicMeanV, res.ClampedMeanV, res.ClampedMeanV/res.BasicMeanV)
+	r.printf("802.11b envelope fidelity (correlation with the input envelope): multiscatter %.3f, WISP %.3f.\n",
+		res.OursFidelity, res.WISPFidelity)
+	return nil
+}
+
+// identify runs one identification operating point at the report's
+// trials and seed, renders its row of an identification table and
+// records its average accuracy.
+func (r *renderer) identify(label, key, paper string, o core.IdentifyOptions) (*stats.Confusion, error) {
+	o.Trials, o.Seed = r.o.Trials, r.o.Seed
+	c, _, err := core.RunIdentification(o)
+	if err != nil {
+		return nil, err
+	}
+	r.printf("| %s | %.3f | %s |\n", label, c.Average(), paper)
+	r.metric("identification", key, c.Average())
+	return c, nil
+}
+
+const identHeader = "| operating point | measured | paper |\n|---|---|---|\n"
+
+func fig5(r *renderer) error {
+	r.printf(identHeader)
+	c, err := r.identify("20 Msps, full precision, ordered", "accuracy_20msps_full_ordered", "0.997",
+		core.IdentifyOptions{ADCRate: 20e6, Ordered: true})
+	if err != nil {
+		return err
+	}
+	r.printf("\n```text\n%s```\n", c)
+	return nil
+}
+
+func fig7(r *renderer) error {
+	r.printf(identHeader)
+	if _, err := r.identify("10 Msps, ±1, blind", "accuracy_10msps_quant_blind", "0.906",
+		core.IdentifyOptions{ADCRate: 10e6, Quantized: true}); err != nil {
+		return err
+	}
+	_, err := r.identify("10 Msps, ±1, ordered", "accuracy_10msps_quant_ordered", "0.976",
+		core.IdentifyOptions{ADCRate: 10e6, Quantized: true, Ordered: true})
+	return err
+}
+
+func fig8(r *renderer) error {
+	r.printf(identHeader)
+	for _, pt := range []struct {
+		label, key, paper string
+		rate              float64
+		extended          bool
+	}{
+		{"2.5 Msps, ±1, 8 µs window", "accuracy_2.5msps_quant_ordered", "0.485", 2.5e6, false},
+		{"2.5 Msps, ±1, 40 µs window", "accuracy_2.5msps_quant_extended", "0.93", 2.5e6, true},
+		{"1 Msps, ±1, 40 µs window", "accuracy_1msps_quant_extended", "≈0.5", 1e6, true},
+	} {
+		if _, err := r.identify(pt.label, pt.key, pt.paper, core.IdentifyOptions{
+			ADCRate: pt.rate, Quantized: true, Extended: pt.extended, Ordered: true,
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func fig9(r *renderer) error {
 	bers, offsets := core.RunBaselineFailure()
 	r.printf("| system | wall | tag BER |\n|---|---|---|\n")
 	for _, b := range bers {
 		r.printf("| %s | %v | %.4f |\n", b.System, b.Wall, b.TagBER)
 		r.metric("fig9", fmt.Sprintf("tag_ber_%s_%v", b.System, b.Wall), b.TagBER)
 	}
-	r.printf("\nMax modulation offset: %.0f symbols (paper: up to 8).\n\n", offsets.MaxY())
+	r.printf("\nHitchhike's modulation offset reaches %.0f symbols at 30 m.\n", offsets.MaxY())
 	r.metric("fig9", "max_offset_symbols", offsets.MaxY())
+	return nil
+}
 
+func fig12(r *renderer) error {
+	r.printf("| protocol | mode | productive (kbps) | tag (kbps) | aggregate (kbps) |\n|---|---|---|---|---|\n")
+	for _, row := range core.RunTradeoffs() {
+		r.printf("| %v | %v | %.1f | %.1f | %.1f |\n", row.Protocol, row.Mode, row.ProductiveKbps, row.TagKbps, row.Aggregate())
+		r.metric("fig12", fmt.Sprintf("aggregate_kbps_%v_%v", row.Protocol, row.Mode), row.Aggregate())
+	}
+	return nil
+}
+
+// ranges renders Figure 13 or 14 over channel ch: each protocol's
+// maximum range next to the paper's (WiFi, ZigBee and BLE), and the
+// aggregate throughput of a 2 m distance sweep to 30 m.
+func ranges(exp string, ch *channel.Model, paperWiFi, paperZigBee, paperBLE string) func(*renderer) error {
+	paper := map[radio.Protocol]string{
+		radio.Protocol80211b: paperWiFi, radio.Protocol80211n: paperWiFi,
+		radio.ProtocolZigBee: paperZigBee, radio.ProtocolBLE: paperBLE,
+	}
+	return func(r *renderer) error {
+		r.printf("| protocol | max range (m) | paper (m) |\n|---|---|---|\n")
+		series := make([]*stats.Series, 0, len(radio.Protocols))
+		for _, p := range radio.Protocols {
+			m := core.NewLink(p, ch).MaxRange(0.5, 40)
+			r.printf("| %v | %.1f | %s |\n", p, m, paper[p])
+			r.metric(exp, fmt.Sprintf("max_range_m_%v", p), m)
+			s := &stats.Series{Name: p.String(), Unit: "kbps"}
+			for _, pt := range core.RangeSweep(p, ch, 30, 2) {
+				s.Add(pt.DistanceM, pt.AggregateKbps)
+			}
+			series = append(series, s)
+		}
+		r.printf("\nAggregate throughput vs distance:\n\n```text\n%s```\n", stats.Table("dist (m)", series...))
+		return nil
+	}
+}
+
+func fig15(r *renderer) error {
 	r.printf("| system | tag throughput behind drywall (kbps) |\n|---|---|\n")
 	for _, row := range core.RunOcclusion() {
 		r.printf("| %s | %.1f |\n", row.System, row.TagKbps)
 		r.metric("fig15", fmt.Sprintf("tag_kbps_%s", row.System), row.TagKbps)
 	}
-	r.printf("\nPaper: multiscatter 136/121, Hitchhike 94, FreeRider 33. Double-decker decodes the superposed stream at ONE commodity receiver (arXiv 2408.16280), paying a γ·spread capacity budget instead of a second radio.\n\n")
+	r.printf("\nDouble-decker decodes the superposed stream at ONE commodity receiver (arXiv 2408.16280), paying a γ·spread capacity budget instead of a second radio.\n\n")
 
 	ddCfg := baseline.DoubleDeckerConfig{}
 	r.printf("Occlusion sweep — Double-decker has no original receiver to occlude, so its curve is flat while the dual-receiver baselines decay:\n\n")
@@ -266,34 +392,34 @@ func (r *renderer) baselines() {
 
 	wfBER, err := core.RunDoubleDeckerDecode(3, r.o.Seed)
 	if err != nil {
-		r.err = err
-		return
+		return err
 	}
-	r.printf("\nWaveform-level single-receiver decode (real DSSS frames, pilot-estimated H_d cancellation, coherent H_b slicing): measured tag BER %.4f.\n\n", wfBER)
+	r.printf("\nWaveform-level single-receiver decode (3 real DSSS frames, pilot-estimated H_d cancellation, coherent H_b slicing): measured tag BER %.4f.\n", wfBER)
 	r.metric("fig15", "doubledecker_waveform_ber", wfBER)
+	return nil
 }
 
-func (r *renderer) diversity() {
-	r.printf("## Excitation diversity (Figures 16, 18)\n\n")
+func fig16(r *renderer) error {
 	timeDom, freqDom := core.RunCollisions(r.o.Seed)
-	r.printf("Time-domain collision (802.11n + BLE):\n\n")
-	r.printf("| protocol | alone (kbps) | collided (kbps) |\n|---|---|---|\n")
-	for _, c := range timeDom {
-		r.printf("| %v | %.1f | %.1f |\n", c.Protocol, c.AloneKbps, c.CollidedKbps)
-		r.metric("fig16", fmt.Sprintf("time_collided_kbps_%v", c.Protocol), c.CollidedKbps)
+	for _, dom := range []struct {
+		title, key string
+		rows       []core.CollisionResult
+	}{
+		{"Time-domain collision (802.11n + BLE)", "time", timeDom},
+		{"Frequency-domain collision (802.11n + ZigBee)", "freq", freqDom},
+	} {
+		r.printf("%s:\n\n| protocol | alone (kbps) | collided (kbps) |\n|---|---|---|\n", dom.title)
+		for _, c := range dom.rows {
+			r.printf("| %v | %.1f | %.1f |\n", c.Protocol, c.AloneKbps, c.CollidedKbps)
+			r.metric("fig16", fmt.Sprintf("%s_collided_kbps_%v", dom.key, c.Protocol), c.CollidedKbps)
+		}
+		r.printf("\n")
 	}
-	r.printf("\nFrequency-domain collision (802.11n + ZigBee):\n\n")
-	r.printf("| protocol | alone (kbps) | collided (kbps) |\n|---|---|---|\n")
-	for _, c := range freqDom {
-		r.printf("| %v | %.1f | %.1f |\n", c.Protocol, c.AloneKbps, c.CollidedKbps)
-		r.metric("fig16", fmt.Sprintf("freq_collided_kbps_%v", c.Protocol), c.CollidedKbps)
-	}
-	r.printf("\nConcurrent multi-tag OFDM (joint subcarrier-group decoding vs capture):\n\n")
+	r.printf("Concurrent multi-tag OFDM (joint subcarrier-group decoding vs capture):\n\n")
 	r.printf("| tags | joint aggregate (kbps) | capture baseline (kbps) | Jain |\n|---|---|---|---|\n")
 	pts, err := fleet.ConcurrencySweep(4, 2*time.Second, r.o.Seed)
 	if err != nil {
-		r.err = err
-		return
+		return err
 	}
 	for _, p := range pts {
 		r.printf("| %d | %.2f | %.2f | %.3f |\n", p.N, p.AggregateKbps, p.BaselineKbps, p.Jain)
@@ -303,13 +429,12 @@ func (r *renderer) diversity() {
 	r.metric("fig16", "concurrent_jain_n4", pts[len(pts)-1].Jain)
 	joint, err := core.RunJointOFDM([]float64{0, 5, 15}, 3, r.o.Seed)
 	if err != nil {
-		r.err = err
-		return
+		return err
 	}
 	r.printf("\nWaveform-level joint decode (per-tag BER, BPSK):\n\n")
-	r.printf("| k | 0 dB | 5 dB | 15 dB | bits/frame/tag |\n|---|---|---|---|---|\n")
+	r.printf("| k | 0 dB | 5 dB | 15 dB | bits/frame/tag | aggregate bits/frame |\n|---|---|---|---|---|---|\n")
 	byK := map[int][]core.JointOFDMPoint{}
-	order := []int{}
+	var order []int
 	for _, p := range joint {
 		if _, ok := byK[p.K]; !ok {
 			order = append(order, p.K)
@@ -319,23 +444,44 @@ func (r *renderer) diversity() {
 	}
 	for _, k := range order {
 		row := byK[k]
-		r.printf("| %d | %.4f | %.4f | %.4f | %d |\n",
-			k, row[0].TagBER, row[1].TagBER, row[2].TagBER, row[0].TagBitsPerFrame)
+		r.printf("| %d | %.4f | %.4f | %.4f | %d | %d |\n",
+			k, row[0].TagBER, row[1].TagBER, row[2].TagBER, row[0].TagBitsPerFrame, row[0].AggregateBitsPerFrame)
 	}
-	r.printf("\n")
+	return nil
+}
+
+func fig17(r *renderer) error {
+	rows, err := core.RunRefModulation(-5, 40, r.o.Seed)
+	if err != nil {
+		return err
+	}
+	r.printf("| reference-symbol modulation | tag BER |\n|---|---|\n")
+	for _, row := range rows {
+		r.printf("| %s | %.4f |\n", row.Label, row.TagBER)
+	}
+	return nil
+}
+
+func fig18(r *renderer) error {
 	d := core.RunDiversity()
-	r.printf("\nFigure 18a: multiscatter %.1f kbps (busy %.0f%%) vs single-protocol %.1f kbps (busy %.0f%%).\n",
+	r.printf("Figure 18a: multiscatter %.1f kbps (busy %.0f%%) vs single-protocol %.1f kbps (busy %.0f%%).\n\n",
 		d.MultiKbps, d.MultiBusyFrac*100, d.SingleKbps, d.SingleBusyFrac*100)
 	r.metric("fig18", "multi_kbps", d.MultiKbps)
 	r.metric("fig18", "single_kbps", d.SingleKbps)
 	pick := core.RunCarrierPick()
 	r.metric("fig18", "picked_kbps", pick.PickedKbps)
-	r.printf("Figure 18b: picked %v at %.1f kbps (target %.1f kbps met: %v); 802.11b-only %.1f kbps (met: %v).\n\n",
+	r.printf("Figure 18b: picked %v at %.1f kbps (target %.1f kbps met: %v); 802.11b-only %.1f kbps (met: %v).\n",
 		pick.Picked, pick.PickedKbps, core.BraceletGoodputKbps, pick.MeetsTarget,
 		pick.SingleKbps, pick.SingleMeets)
-	r.printf("_Overlay mode constants: γ = %v/%v/%v/%v for 11b/11n/BLE/ZigBee._\n",
-		overlay.Gammas[radio.Protocol80211b], overlay.Gammas[radio.Protocol80211n],
-		overlay.Gammas[radio.ProtocolBLE], overlay.Gammas[radio.ProtocolZigBee])
+	return nil
+}
+
+func downlink(r *renderer) error {
+	los := channel.NewLoS()
+	r.printf("Clamped rectifier: %.2f m; basic rectifier: %.2f m.\n",
+		core.DownlinkRange(analog.NewMultiscatterRectifier(), los),
+		core.DownlinkRange(analog.NewBasicRectifier(), los))
+	return nil
 }
 
 // serveSection runs the fixed fleet-service workload (the same job set

@@ -91,3 +91,30 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Fatalf("defaults = %+v", o)
 	}
 }
+
+// TestExperimentIDs: every id msbench accepts maps to exactly one
+// experiment, which renders a section with a body, and an unknown id is
+// an error.
+func TestExperimentIDs(t *testing.T) {
+	want := []string{"table1", "table2", "table3", "table4", "table5", "table6",
+		"fig4", "fig5", "fig7", "fig8", "fig9", "fig12", "fig13", "fig14",
+		"fig15", "fig16", "fig17", "fig18", "downlink"}
+	if got := IDs(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("IDs() = %v, want %v", got, want)
+	}
+	for _, id := range want {
+		var sb strings.Builder
+		if err := WriteExperiment(&sb, id, Options{Trials: 4}); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		// Heading, paper line, then a body.
+		parts := strings.SplitN(sb.String(), "\n\n", 3)
+		if len(parts) < 3 || !strings.HasPrefix(parts[0], "## ") ||
+			!strings.HasPrefix(parts[1], "Paper: ") || strings.TrimSpace(parts[2]) == "" {
+			t.Errorf("%s renders no section body:\n%s", id, sb.String())
+		}
+	}
+	if err := WriteExperiment(&strings.Builder{}, "fig6", Options{}); err == nil {
+		t.Fatal("unknown experiment fig6 accepted")
+	}
+}
