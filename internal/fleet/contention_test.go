@@ -234,3 +234,37 @@ func TestManyReceiversAllocation(t *testing.T) {
 		}
 	}
 }
+
+// TestBucketAllocation: the throughput timeline costs one array per
+// shard, not one per tag. 2000 tags over 2 s of office traffic in 1 ms
+// buckets allocate ≈11 MB and must stay under 20 MB; per-tag arrays
+// alone would be 2000 × 2001 buckets × 8 B ≈ 32 MB.
+func TestBucketAllocation(t *testing.T) {
+	sc, err := excite.FindScenario("office")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Sources:   sc.Sources,
+		Tags:      PlaceGrid(2000, 20, 20),
+		Receivers: PlaceReceivers(4, 20, 20),
+		Span:      2 * time.Second,
+		BucketMS:  1,
+		Seed:      1,
+		Workers:   1,
+		Obs:       obs.NewRegistry(),
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Buckets) != 2001 {
+		t.Fatalf("%d buckets, want 2001", len(res.Buckets))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 20<<20 {
+		t.Fatalf("the run allocated %.1f MB, want under 20 MB", float64(got)/(1<<20))
+	}
+}

@@ -317,9 +317,6 @@ type tagRun struct {
 	// counts[protocol][outcome] accumulates the packet fates.
 	counts  [protocolSlots][outcomeSlots]int
 	tagBits [protocolSlots]int
-	// buckets holds the tag bits delivered per throughput-timeline
-	// bucket.
-	buckets []int
 }
 
 // trace1 records one lifecycle stage event for timeline packet i. Only
@@ -418,7 +415,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	tReduce := time.Now()
-	res, err := reduce(cfg, fr.receivers, fr.tags, fr.events, fr.exciteCollided, fr.bucketDur, fr.stats)
+	res, err := reduce(cfg, fr.receivers, fr.tags, fr.shardBuckets, fr.events, fr.exciteCollided, fr.bucketDur, fr.stats)
 	cfg.Obs.Stage("fleet.reduce").ObserveSince(tReduce)
 	if err == nil {
 		recordRun(cfg.Obs, res)
@@ -506,6 +503,9 @@ type fleetRun struct {
 	stats     CacheStats
 	tags      []*tagRun
 	shardTags [][]*tagRun
+	// shardBuckets holds, per shard, the tag bits its tags delivered per
+	// throughput-timeline bucket.
+	shardBuckets [][]int
 	// byRx lists the tags by receiver, each receiver's in ascending ID:
 	// receiver r's are byRx[rxStart[r]:rxStart[r+1]].
 	byRx    []*tagRun
@@ -578,15 +578,13 @@ func newRun(cfg Config) (*fleetRun, error) {
 	// placements, sources and the timeline are fixed, so the parallel
 	// phases run on plain array and bit reads.
 	tPrefill := time.Now()
-	numBuckets := int(cfg.Span/fr.bucketDur) + 1
 	table := newLinkTable(cfg.Channel, cfg.DistanceBucketM, cfg.Seed,
 		cfg.Phase, cfg.Baseline == BaselineDoubleDecker)
 	sets := newPacketSets(3*len(cfg.Tags), len(events))
 	fr.tags = make([]*tagRun, len(cfg.Tags))
 	for i, spec := range cfg.Tags {
 		t := &tagRun{spec: spec, id: i, mode: spec.Mode,
-			responses: sets[3*i], lost: sets[3*i+1], joint: sets[3*i+2],
-			buckets: make([]int, numBuckets)}
+			responses: sets[3*i], lost: sets[3*i+1], joint: sets[3*i+2]}
 		if t.mode == 0 {
 			t.mode = overlay.Mode1
 		}
@@ -645,6 +643,11 @@ func newRun(cfg Config) (*fleetRun, error) {
 	for _, t := range fr.tags {
 		s := t.id % numShards
 		fr.shardTags[s] = append(fr.shardTags[s], t)
+	}
+	numBuckets := int(cfg.Span/fr.bucketDur) + 1
+	fr.shardBuckets = make([][]int, numShards)
+	for s := range fr.shardBuckets {
+		fr.shardBuckets[s] = make([]int, numBuckets)
 	}
 	// The flight recorder shares the shard partition, so each shard's
 	// ring is single-writer and the drained stream cannot depend on the
@@ -882,6 +885,7 @@ func (fr *fleetRun) downlink(ctx context.Context) {
 	runShards(ctx, cfg.Pool, len(fr.shardTags), fr.timedShard(func(shard int) {
 		rng := sim.SeedRNG(cfg.Seed+int64(shard), sim.StreamFleetDownlink)
 		tr := cfg.Trace.Shard(shard)
+		buckets := fr.shardBuckets[shard]
 		for _, t := range fr.shardTags[shard] {
 			traced := t.traced
 			for w, resp := range t.responses {
@@ -915,7 +919,7 @@ func (fr *fleetRun) downlink(ctx context.Context) {
 						delivered &^= m & -m
 					}
 				}
-				fr.countDownlink(t, w, lost, joint, survived, delivered)
+				fr.countDownlink(t, buckets, w, lost, joint, survived, delivered)
 				if fr.sampled == nil {
 					continue
 				}
@@ -932,8 +936,8 @@ func (fr *fleetRun) downlink(ctx context.Context) {
 
 // countDownlink adds the outcomes of t's responses among the 64 packets
 // of word w to its counts, and the delivered packets' bits to its
-// protocol and bucket totals.
-func (fr *fleetRun) countDownlink(t *tagRun, w int, lost, joint, survived, delivered uint64) {
+// protocol totals and to its shard's bucket totals.
+func (fr *fleetRun) countDownlink(t *tagRun, buckets []int, w int, lost, joint, survived, delivered uint64) {
 	for p, set := range fr.byProto {
 		if set == nil {
 			continue
@@ -957,15 +961,15 @@ func (fr *fleetRun) countDownlink(t *tagRun, w int, lost, joint, survived, deliv
 		wordBits += n
 	}
 	if b := fr.wordBucket[w]; b >= 0 {
-		if b < len(t.buckets) {
-			t.buckets[b] += wordBits
+		if b < len(buckets) {
+			buckets[b] += wordBits
 		}
 		return
 	}
 	for m := delivered; m != 0; m &= m - 1 {
 		i := w*64 + bits.TrailingZeros64(m)
-		if b := fr.bucket[i]; b < len(t.buckets) {
-			t.buckets[b] += t.bits[fr.events[i].Source]
+		if b := fr.bucket[i]; b < len(buckets) {
+			buckets[b] += t.bits[fr.events[i].Source]
 		}
 	}
 }

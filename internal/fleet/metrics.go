@@ -117,12 +117,13 @@ var outcomesOrder = []sim.Outcome{
 }
 
 // reduce folds per-tag partials into the Result, iterating tags in ID
-// order so floating-point accumulation is deterministic. Every tag sees
-// the whole timeline, so per-protocol packet opportunities are the
-// timeline's protocol counts times the tag count. table is the
-// link-table shape from prefill; its lookup traffic is derived here from
-// the outcome totals.
-func reduce(cfg Config, receivers []ReceiverSpec, tags []*tagRun, events []excite.Event, exciteCollided int, bucketDur time.Duration, table CacheStats) (*Result, error) {
+// order so floating-point accumulation is deterministic, and adds up the
+// shards' bucket totals: integers far below 2^53, so their float sums are
+// exact in any order. Every tag sees the whole timeline, so per-protocol
+// packet opportunities are the timeline's protocol counts times the tag
+// count. table is the link-table shape from prefill; its lookup traffic
+// is derived here from the outcome totals.
+func reduce(cfg Config, receivers []ReceiverSpec, tags []*tagRun, shardBuckets [][]int, events []excite.Event, exciteCollided int, bucketDur time.Duration, table CacheStats) (*Result, error) {
 	res := &Result{
 		Span:           cfg.Span,
 		BucketDur:      bucketDur,
@@ -194,9 +195,6 @@ func reduce(cfg Config, receivers []ReceiverSpec, tags []*tagRun, events []excit
 			}
 		}
 		tr.TagKbps = float64(tr.TagBits) / spanSec / 1e3
-		for b, bits := range t.buckets {
-			res.Buckets[b] += float64(bits)
-		}
 		res.Tags = append(res.Tags, tr)
 		res.FleetTagKbps += tr.TagKbps
 	}
@@ -206,6 +204,11 @@ func reduce(cfg Config, receivers []ReceiverSpec, tags []*tagRun, events []excit
 	res.PerProtocol = perProto
 	res.MeanTagKbps = res.FleetTagKbps / float64(len(tags))
 	res.Fairness = jain(res.Tags)
+	for _, buckets := range shardBuckets {
+		for b, bits := range buckets {
+			res.Buckets[b] += float64(bits)
+		}
+	}
 	for b := range res.Buckets {
 		res.Buckets[b] = res.Buckets[b] / bucketDur.Seconds() / 1e3
 	}
