@@ -12,6 +12,17 @@ import (
 	"multiscatter/internal/sim"
 )
 
+// distanceBucketM is the calibrated-link table resolution in metres.
+const distanceBucketM = 0.25
+
+// On phase-aware runs the coherent receiver re-estimates the channel
+// from pilots every estimateHorizon, and a fresh estimate's phase-aligned
+// combining gains it coherentGainDB of SNR.
+const (
+	estimateHorizon = time.Millisecond
+	coherentGainDB  = 1
+)
+
 // linkKey identifies one calibrated-link working point: a protocol heard
 // over a quantized tag→receiver distance under one overlay mode. Tags
 // sharing a distance bucket share the entry, so the per-packet hot path
@@ -66,9 +77,8 @@ type CacheStats struct {
 // not depend on build order. prefill resolves it into per-tag arrays
 // before the worker pool starts, and the parallel phases only read those.
 type linkTable struct {
-	bucketM float64
-	seed    int64
-	links   [protocolSlots]*core.Link
+	seed  int64
+	links [protocolSlots]*core.Link
 	// phase enables the phase-aware complex channel (nil = magnitude
 	// only); dd applies the Double-decker single-receiver model (tag
 	// capacity scaling + self-interference penalty).
@@ -76,8 +86,8 @@ type linkTable struct {
 	dd    bool
 }
 
-func newLinkTable(ch *channel.Model, bucketM float64, seed int64, phase *PhaseConfig, dd bool) *linkTable {
-	c := &linkTable{bucketM: bucketM, seed: seed, phase: phase, dd: dd}
+func newLinkTable(ch *channel.Model, seed int64, phase *PhaseConfig, dd bool) *linkTable {
+	c := &linkTable{seed: seed, phase: phase, dd: dd}
 	for _, p := range radio.Protocols {
 		c.links[p] = core.NewLink(p, ch)
 	}
@@ -85,9 +95,9 @@ func newLinkTable(ch *channel.Model, bucketM float64, seed int64, phase *PhaseCo
 }
 
 // bucketOf quantizes a distance to the table resolution. Bucket 0 covers
-// tags co-located with their receiver (d < bucketM/2).
+// tags co-located with their receiver (d < distanceBucketM/2).
 func (c *linkTable) bucketOf(d float64) int {
-	b := int(d/c.bucketM + 0.5)
+	b := int(d/distanceBucketM + 0.5)
 	if b < 0 {
 		b = 0
 	}
@@ -99,7 +109,7 @@ func (c *linkTable) bucketOf(d float64) int {
 // evaluated at the clamp distance instead of overstating path loss at a
 // full bucket width.
 func (c *linkTable) distanceOf(bucket int) float64 {
-	d := float64(bucket) * c.bucketM
+	d := float64(bucket) * distanceBucketM
 	if d < 0.1 {
 		d = 0.1
 	}
@@ -135,8 +145,7 @@ func (c *linkTable) compute(k linkKey) linkEntry {
 		// only) the residual direct-path leakage — all folded in as
 		// extra shadowing loss. RSSIdBm/InRange above are untouched:
 		// signal strength is a magnitude, only decoding quality moves.
-		pen := channel.Estimator{}.TrackingPenaltyDB(drift.RateHz, c.phase.EstimateHorizon) -
-			c.phase.CoherentGainDB
+		pen := channel.Estimator{}.TrackingPenaltyDB(drift.RateHz, estimateHorizon) - coherentGainDB
 		if c.dd {
 			pen += baseline.DoubleDeckerLeakPenaltyDB(baseline.DoubleDeckerConfig{})
 		}

@@ -136,9 +136,6 @@ type Config struct {
 	// ofdm.MaxSubcarrierGroups (4); negative disables joint decoding.
 	// Non-OFDM protocols always use capture arbitration.
 	ConcurrentOFDM int
-	// DistanceBucketM is the calibrated-link table resolution in metres
-	// (default 0.25).
-	DistanceBucketM float64
 	// Phase, when non-nil, enables the phase-aware complex channel: each
 	// link-table entry additionally draws a channel.PhaseDrift from
 	// sim.SeedRNGAt(Seed, StreamChannelPhase, linkKey), and the
@@ -190,12 +187,6 @@ type PhaseConfig struct {
 	// MaxDriftHz bounds each link's residual phase drift rate; the
 	// per-link rate is drawn uniformly from ±MaxDriftHz (default 200).
 	MaxDriftHz float64
-	// CoherentGainDB is the SNR the coherent receiver gains from
-	// phase-aligned combining when its estimate is fresh (default 1).
-	CoherentGainDB float64
-	// EstimateHorizon is how long one pilot estimate must stay coherent
-	// between re-estimations (default 1 ms).
-	EstimateHorizon time.Duration
 }
 
 // withDefaults fills zero fields; called on a copy so the caller's
@@ -203,12 +194,6 @@ type PhaseConfig struct {
 func (p PhaseConfig) withDefaults() PhaseConfig {
 	if p.MaxDriftHz <= 0 {
 		p.MaxDriftHz = 200
-	}
-	if p.CoherentGainDB == 0 {
-		p.CoherentGainDB = 1
-	}
-	if p.EstimateHorizon <= 0 {
-		p.EstimateHorizon = time.Millisecond
 	}
 	return p
 }
@@ -453,9 +438,6 @@ func withDefaults(cfg Config) (Config, error) {
 	if cfg.ConcurrentOFDM == 0 {
 		cfg.ConcurrentOFDM = ofdm.MaxSubcarrierGroups
 	}
-	if cfg.DistanceBucketM <= 0 {
-		cfg.DistanceBucketM = 0.25
-	}
 	switch cfg.Baseline {
 	case BaselineMultiscatter, BaselineDoubleDecker:
 	default:
@@ -578,8 +560,7 @@ func newRun(cfg Config) (*fleetRun, error) {
 	// placements, sources and the timeline are fixed, so the parallel
 	// phases run on plain array and bit reads.
 	tPrefill := time.Now()
-	table := newLinkTable(cfg.Channel, cfg.DistanceBucketM, cfg.Seed,
-		cfg.Phase, cfg.Baseline == BaselineDoubleDecker)
+	table := newLinkTable(cfg.Channel, cfg.Seed, cfg.Phase, cfg.Baseline == BaselineDoubleDecker)
 	sets := newPacketSets(3*len(cfg.Tags), len(events))
 	fr.tags = make([]*tagRun, len(cfg.Tags))
 	for i, spec := range cfg.Tags {

@@ -308,7 +308,7 @@ func TestLinkCachePrefilled(t *testing.T) {
 }
 
 func TestLinkTablePrefill(t *testing.T) {
-	c := newLinkTable(channel.NewLoS(), 0.25, 1, nil, false)
+	c := newLinkTable(channel.NewLoS(), 1, nil, false)
 	// Same bucket, same entry: 2.0 m and 2.1 m share a 0.25 m bucket.
 	if c.bucketOf(2.0) != c.bucketOf(2.1) {
 		t.Fatal("bucketing too fine")
@@ -352,7 +352,7 @@ func TestLinkCacheZeroDistanceBucket(t *testing.T) {
 	// evaluated at the 0.1 m near-field clamp — not at a full bucket
 	// width (the old clamp-to-bucket-1 behaviour overstated path loss by
 	// 10·2·log10(0.25/0.1) ≈ 8 dB at the default resolution).
-	c := newLinkTable(channel.NewLoS(), 0.25, 1, nil, false)
+	c := newLinkTable(channel.NewLoS(), 1, nil, false)
 	if b := c.bucketOf(0); b != 0 {
 		t.Fatalf("bucketOf(0) = %d, want 0", b)
 	}

@@ -131,9 +131,9 @@ func TestPhaseChangesOutcomes(t *testing.T) {
 
 	// And the penalty must actually move a marginal PER working point —
 	// otherwise the phase path is wired up but vacuous.
-	cOff := newLinkTable(baseCfg.Channel, 0.25, baseCfg.Seed, nil, false)
+	cOff := newLinkTable(baseCfg.Channel, baseCfg.Seed, nil, false)
 	pc := PhaseConfig{}.withDefaults()
-	cOn := newLinkTable(baseCfg.Channel, 0.25, baseCfg.Seed, &pc, false)
+	cOn := newLinkTable(baseCfg.Channel, baseCfg.Seed, &pc, false)
 	moved := false
 	for b := 5; b < 90 && !moved; b++ {
 		off := cOff.compute(linkKey{radio.ProtocolBLE, b, 1})
@@ -175,7 +175,7 @@ func TestDoubleDeckerFleetBaseline(t *testing.T) {
 			res.FleetTagKbps, phased.FleetTagKbps)
 	}
 
-	c := newLinkTable(channel.NewLoS(), 0.25, 1, nil, true)
+	c := newLinkTable(channel.NewLoS(), 1, nil, true)
 	if got := c.scaleTagBits(1000); got != 450 {
 		t.Fatalf("scaleTagBits(1000) = %d, want 450 (×0.9/2)", got)
 	}
