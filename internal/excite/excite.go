@@ -198,32 +198,18 @@ func (c CollisionStats) CollisionFraction() float64 {
 	return float64(c.Collided) / float64(c.Packets)
 }
 
-// Collisions computes per-source collision stats over a timeline.
+// Collisions computes per-source collision stats over a start-sorted
+// timeline, from its CollisionFlags.
 func Collisions(events []Event, numSources int) []CollisionStats {
 	out := make([]CollisionStats, numSources)
-	for i, e := range events {
-		if e.Source >= numSources {
+	for i, collided := range CollisionFlags(events) {
+		s := events[i].Source
+		if s >= numSources {
 			continue
 		}
-		out[e.Source].Packets++
-		collided := false
-		// Events are sorted by start; scan neighbours.
-		for j := i - 1; j >= 0 && events[j].End() > e.Start; j-- {
-			if events[j].Source != e.Source {
-				collided = true
-				break
-			}
-		}
-		if !collided {
-			for j := i + 1; j < len(events) && events[j].Start < e.End(); j++ {
-				if events[j].Source != e.Source {
-					collided = true
-					break
-				}
-			}
-		}
+		out[s].Packets++
 		if collided {
-			out[e.Source].Collided++
+			out[s].Collided++
 		}
 	}
 	return out
