@@ -1,6 +1,8 @@
 # multiscatter — build/verify entry points.
 #
-#   make check          build + vet + race-enabled tests + msperf-test + replay-diff + fuzz + bench-compare
+#   make check          the full gate, scripts/check.sh: build + vet + race-enabled tests +
+#                       msperf-test + replay-diff + fig15/fig16 demos + docs-check + fuzz +
+#                       serve smoke + bench-compare
 #   make test           plain test run (what CI tier-1 executes)
 #   make msperf-test    tests of the benchmark module (cmd/msperf, its own go.mod)
 #   make replay-diff    golden-trace determinism gate (serial vs parallel fleet)
@@ -54,7 +56,9 @@ replay-diff:
 fuzz:
 	sh scripts/fuzz.sh
 
-check: build vet race msperf-test replay-diff fuzz bench-compare
+# The one gate, also run by CI and where make is missing.
+check:
+	sh scripts/check.sh
 
 bench:
 	$(GO) test -run - -bench 'BenchmarkFleet' -benchtime 1x -benchmem ./
@@ -68,8 +72,8 @@ perf-gate:
 
 # Regenerates msbench metrics and diffs them against the latest committed
 # BENCH_<date>.json; fails on >15% drops in gated (kbps/accuracy) metrics.
-# The simulator is deterministic, so the expected diff is empty. Skip in
-# check.sh with MS_SKIP_BENCH=1. Regenerate the baseline deliberately with
+# The simulator is deterministic, so the expected diff is empty.
+# Regenerate the baseline deliberately with
 # `go run ./cmd/msbench -json BENCH_$$(date +%F).json`.
 bench-compare:
 	sh scripts/bench_compare.sh

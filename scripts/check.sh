@@ -1,8 +1,10 @@
 #!/bin/sh
 # Full verification gate: build, vet, race-enabled tests, the benchmark
-# module's own tests, golden replay diff, every fuzz target for 3 s, and
-# the msserve end-to-end smoke (race-built server, byte-identical results,
-# graceful drain). Mirrors `make check` for environments without make.
+# module's own tests, golden replay diff, the fig15/fig16 demos, the
+# docs link check, every fuzz target for 3 s, the msserve end-to-end
+# smoke (race-built server, byte-identical results, graceful drain) and
+# the msbench metrics diff against the committed baseline. `make check`
+# and CI run this script.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -26,10 +28,6 @@ echo "== fuzz (every fuzz target, 3s each)"
 sh scripts/fuzz.sh
 echo "== serve smoke (msserve + msload byte-identical, race-built)"
 sh scripts/serve_smoke.sh
-if [ "${MS_SKIP_BENCH:-}" = "1" ]; then
-    echo "== bench-compare (skipped: MS_SKIP_BENCH=1)"
-else
-    echo "== bench-compare (msbench metrics vs committed baseline)"
-    sh scripts/bench_compare.sh
-fi
+echo "== bench-compare (msbench metrics vs committed baseline)"
+sh scripts/bench_compare.sh
 echo "OK"
