@@ -2,9 +2,9 @@
 // evaluation: one sub-benchmark per experiment of internal/report, named
 // by its msbench id, at msbench's defaults (30 trials, seed 1). Each
 // times one run and, on the first iteration, logs the section msbench
-// prints for that id. Run with:
+// prints for that id. Run with -v, or Go cuts each log at 10 lines:
 //
-//	go test -run - -bench Experiments -benchtime 1x .
+//	go test -run - -bench Experiments -benchtime 1x -v .
 package multiscatter_test
 
 import (
