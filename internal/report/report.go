@@ -346,7 +346,8 @@ func fig12(r *renderer) error {
 
 // ranges renders Figure 13 or 14 over channel ch: each protocol's
 // maximum range next to the paper's (WiFi, ZigBee and BLE), and the
-// aggregate throughput of a 2 m distance sweep to 30 m.
+// RSSI, tag BER and aggregate throughput of a 2 m distance sweep to
+// 30 m.
 func ranges(exp string, ch *channel.Model, paperWiFi, paperZigBee, paperBLE string) func(*renderer) error {
 	paper := map[radio.Protocol]string{
 		radio.Protocol80211b: paperWiFi, radio.Protocol80211n: paperWiFi,
@@ -354,18 +355,23 @@ func ranges(exp string, ch *channel.Model, paperWiFi, paperZigBee, paperBLE stri
 	}
 	return func(r *renderer) error {
 		r.printf("| protocol | max range (m) | paper (m) |\n|---|---|---|\n")
-		series := make([]*stats.Series, 0, len(radio.Protocols))
+		var rssi, ber, tput []*stats.Series
 		for _, p := range radio.Protocols {
 			m := core.NewLink(p, ch).MaxRange(0.5, 40)
 			r.printf("| %v | %.1f | %s |\n", p, m, paper[p])
 			r.metric(exp, fmt.Sprintf("max_range_m_%v", p), m)
-			s := &stats.Series{Name: p.String(), Unit: "kbps"}
+			rs := &stats.Series{Name: p.String(), Unit: "dBm"}
+			bs := &stats.Series{Name: p.String(), Unit: "BER"}
+			ts := &stats.Series{Name: p.String(), Unit: "kbps"}
 			for _, pt := range core.RangeSweep(p, ch, 30, 2) {
-				s.Add(pt.DistanceM, pt.AggregateKbps)
+				rs.Add(pt.DistanceM, pt.RSSIdBm)
+				bs.Add(pt.DistanceM, pt.TagBER)
+				ts.Add(pt.DistanceM, pt.AggregateKbps)
 			}
-			series = append(series, s)
+			rssi, ber, tput = append(rssi, rs), append(ber, bs), append(tput, ts)
 		}
-		r.printf("\nAggregate throughput vs distance:\n\n```text\n%s```\n", stats.Table("dist (m)", series...))
+		r.printf("\nRSSI, tag BER and aggregate throughput vs distance:\n\n```text\n%s\n%s\n%s```\n",
+			stats.Table("dist (m)", rssi...), stats.Table("dist (m)", ber...), stats.Table("dist (m)", tput...))
 		return nil
 	}
 }
