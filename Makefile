@@ -1,6 +1,6 @@
 # multiscatter — build/verify entry points.
 #
-#   make check          the full gate, scripts/check.sh: build + vet + race-enabled tests +
+#   make check          the full gate, scripts/check.sh: build + vet + gofmt + race-enabled tests +
 #                       msperf-test + replay-diff + fig15/fig16 demos + docs-check + fuzz +
 #                       serve smoke + bench-compare
 #   make test           plain test run (what CI tier-1 executes)
@@ -11,7 +11,7 @@
 #   make perf-gate      short msperf suite vs the newest committed perf/msperf_*.json
 #                       (opt-in, minutes; fails only on a regression on matching hardware)
 #   make bench-compare  msbench metrics vs committed BENCH_<date>.json baseline
-#   make profile        CPU+heap profile of BenchmarkFleet1000Tags, top-10 flat
+#   make profile        CPU+heap profile of BenchmarkFleetPersonal, top-10 flat
 #   make profile-pipeline  CPU+heap profile of BenchmarkPipelineRound, top-10 flat
 #   make obs-demo       short fleet run with the -obs endpoint up, scraped with curl
 #   make trace-demo     seeded fleet run exporting a Perfetto-loadable trace
@@ -78,11 +78,12 @@ perf-gate:
 bench-compare:
 	sh scripts/bench_compare.sh
 
-# Profiles the 1000-tag fleet benchmark and prints the top-10 flat CPU
-# and heap consumers. Profiles land in /tmp for deeper digging with
+# Profiles msperf's fleet-personal shape (BenchmarkFleetPersonal: 1000
+# tags, 256 receivers) and prints the top-10 flat CPU and heap
+# consumers. Profiles land in /tmp for deeper digging with
 # `go tool pprof /tmp/fleet-cpu.prof`; see docs/OBSERVABILITY.md.
 profile:
-	$(GO) test -run - -bench 'BenchmarkFleet1000Tags' -benchtime 3x -benchmem \
+	$(GO) test -run - -bench 'BenchmarkFleetPersonal' -benchtime 3x -benchmem \
 		-cpuprofile /tmp/fleet-cpu.prof -memprofile /tmp/fleet-mem.prof ./
 	@echo "-- top-10 flat CPU --"
 	$(GO) tool pprof -top -nodecount=10 /tmp/fleet-cpu.prof

@@ -15,7 +15,7 @@ import (
 	"strconv"
 	"strings"
 
-	"multiscatter"
+	"multiscatter/internal/core"
 	"multiscatter/internal/radio"
 )
 
@@ -44,15 +44,17 @@ func main() {
 	for _, rate := range rates {
 		for _, quant := range []bool{false, true} {
 			for _, ext := range []bool{false, true} {
+				// Both policies decide the same scored traces.
+				scores, err := core.ScoreIdentification(core.IdentifyOptions{
+					ADCRate: rate, Quantized: quant, Extended: ext,
+					Trials: *trials, SNRLoDB: *snrLo, SNRHiDB: *snrHi, Seed: *seed,
+				})
+				if err != nil {
+					fmt.Fprintln(os.Stderr, "msident:", err)
+					os.Exit(1)
+				}
 				for _, ordered := range []bool{false, true} {
-					c, thr, err := multiscatter.RunIdentification(multiscatter.IdentifyOptions{
-						ADCRate: rate, Quantized: quant, Extended: ext, Ordered: ordered,
-						Trials: *trials, SNRLoDB: *snrLo, SNRHiDB: *snrHi, Seed: *seed,
-					})
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "msident:", err)
-						os.Exit(1)
-					}
+					c, thr := scores.Decide(ordered)
 					window := "8µs"
 					if ext {
 						window = "40µs"

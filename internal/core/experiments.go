@@ -222,16 +222,42 @@ func TuneThresholds(traces []traceScores, ordered bool) map[radio.Protocol]float
 // traces, tune thresholds, evaluate. It returns the confusion matrix and
 // the tuned thresholds.
 func RunIdentification(o IdentifyOptions) (*stats.Confusion, map[radio.Protocol]float64, error) {
-	o = o.withDefaults()
-	traces, err := collectScores(o)
+	s, err := ScoreIdentification(o)
 	if err != nil {
 		return nil, nil, err
 	}
-	thr := o.Thresholds
-	if thr == nil {
-		thr = TuneThresholds(traces, o.Ordered)
+	c, thr := s.Decide(o.Ordered)
+	return c, thr, nil
+}
+
+// IdentScores are one operating point's traces, each scored once
+// against every template. Both matching policies are decided from the
+// same scores, so comparing them acquires the traces once.
+type IdentScores struct {
+	traces     []traceScores
+	thresholds map[radio.Protocol]float64
+}
+
+// ScoreIdentification acquires and scores the traces of o's operating
+// point. o.Ordered plays no part: Decide takes the policy.
+func ScoreIdentification(o IdentifyOptions) (*IdentScores, error) {
+	o = o.withDefaults()
+	traces, err := collectScores(o)
+	if err != nil {
+		return nil, err
 	}
-	return confusionOf(traces, o.Ordered, thr), thr, nil
+	return &IdentScores{traces: traces, thresholds: o.Thresholds}, nil
+}
+
+// Decide evaluates blind or ordered matching on the scores, at the
+// options' Thresholds when they were set and at thresholds tuned for the
+// policy otherwise. It returns the confusion matrix and the thresholds.
+func (s *IdentScores) Decide(ordered bool) (*stats.Confusion, map[radio.Protocol]float64) {
+	thr := s.thresholds
+	if thr == nil {
+		thr = TuneThresholds(s.traces, ordered)
+	}
+	return confusionOf(s.traces, ordered, thr), thr
 }
 
 // RangePoint is one distance sample of Figures 13/14.

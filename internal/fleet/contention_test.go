@@ -17,8 +17,35 @@ import (
 	"multiscatter/internal/radio"
 )
 
-// denseVerdicts is the oracle for contend: the merge the engine ran
-// before contention went per receiver, kept verbatim. One
+// contention aggregates, for one (receiver, packet) pair, which tags
+// backscattered the packet. Merged in tag-ID order, so the winner of an
+// RSSI tie is the lowest tag ID and the aggregate is deterministic.
+type contention struct {
+	count      int32
+	bestTag    int32
+	bestRSSI   float64
+	secondRSSI float64
+}
+
+// add merges one tag's response. Callers MUST add in ascending tag-ID
+// order (denseVerdicts does): the strictly-greater comparisons then make
+// the lowest tag ID the deterministic winner of an exact RSSI tie.
+// Pinned by TestContentionTieBreak.
+func (c *contention) add(tag int32, rssi float64) {
+	c.count++
+	switch {
+	case c.count == 1:
+		c.bestTag, c.bestRSSI, c.secondRSSI = tag, rssi, math.Inf(-1)
+	case rssi > c.bestRSSI:
+		c.secondRSSI = c.bestRSSI
+		c.bestTag, c.bestRSSI = tag, rssi
+	case rssi > c.secondRSSI:
+		c.secondRSSI = rssi
+	}
+}
+
+// denseVerdicts is the oracle for contend: the cell-by-cell merge the
+// engine ran before contention went per receiver, kept verbatim. One
 // [receivers][packets] matrix takes every tag's responses serially in
 // tag-ID order, and the downlink's lost and joint expressions read it.
 // It returns each tag's lost and joint sets and, per response in
@@ -66,18 +93,19 @@ func denseVerdicts(fr *fleetRun) (lost, joint []packetSet, cells [][]tracedConte
 
 // verdictCases are the deployments TestContentionMatchesDenseOracle
 // checks beyond the random ones: exact RSSI ties, the capture margin at
-// and just above a measured margin, ConcurrentOFDM below, at and above
-// the cluster sizes, and receivers no tag reports to.
+// and just above a measured margin, ConcurrentOFDM below, at and far
+// above the cluster sizes, receivers no tag reports to, and one receiver
+// whose RSSI orders are longer than a word.
 func verdictCases(t *testing.T) map[string]Config {
 	cases := map[string]Config{}
 	for _, n := range []int{2, 3, 5, 7} {
-		for _, co := range []int{-1, 0, 2, 6} {
+		for _, co := range []int{-1, 0, 2, 6, 1 << 40} {
 			cfg := clusterConfig(n, int64(n))
 			cfg.ConcurrentOFDM = co
 			cases[fmt.Sprintf("tie n=%d co=%d", n, co)] = cfg
 		}
 	}
-	for _, co := range []int{-1, 2, 6} {
+	for _, co := range []int{-1, 2, 6, 1 << 40} {
 		cfg := wrapGoldenConfig(0)
 		cfg.ConcurrentOFDM = co
 		cases[fmt.Sprintf("wrap co=%d", co)] = cfg
@@ -119,6 +147,29 @@ func verdictCases(t *testing.T) map[string]Config {
 		Span:      500 * time.Millisecond,
 		Seed:      9,
 	}
+
+	// 120 tags in a line from 0.5 to 36.2 m of one receiver, each
+	// answering about one packet in twenty: a packet's best tag and
+	// runner-up fall anywhere in the order, and a runner-up's capture
+	// prefix ends partway through it.
+	sparse := map[radio.Protocol]float64{}
+	for _, p := range radio.Protocols {
+		sparse[p] = 0.05
+	}
+	line := make([]TagSpec, 120)
+	for i := range line {
+		line[i] = TagSpec{X: 0.5 + 0.3*float64(i), IdentAccuracy: sparse}
+	}
+	for _, co := range []int{0, 1 << 40} {
+		cases[fmt.Sprintf("long order co=%d", co)] = Config{
+			Sources:        sc.Sources,
+			Tags:           line,
+			Receivers:      []ReceiverSpec{{}},
+			Span:           time.Second,
+			Seed:           12,
+			ConcurrentOFDM: co,
+		}
+	}
 	return cases
 }
 
@@ -141,7 +192,7 @@ func TestContentionMatchesDenseOracle(t *testing.T) {
 		names = append(names, name)
 	}
 
-	var lostBits, jointBits, idleReceivers int
+	var lostBits, jointBits, captured, idleReceivers int
 	for size := 1; size <= 3; size++ {
 		pool := NewPool(size)
 		for _, name := range names {
@@ -174,9 +225,16 @@ func TestContentionMatchesDenseOracle(t *testing.T) {
 							name, size, i, k, got, c)
 					}
 				}
-				for w := range lost[i] {
+				k := 0
+				for w, resp := range tag.responses {
 					lostBits += bits.OnesCount64(lost[i][w])
 					jointBits += bits.OnesCount64(joint[i][w])
+					for m := resp; m != 0; m &= m - 1 {
+						if cells[i][k].count > 1 && (lost[i][w]|joint[i][w])&(m&-m) == 0 {
+							captured++
+						}
+						k++
+					}
 				}
 			}
 			for r := range fr.receivers {
@@ -187,8 +245,9 @@ func TestContentionMatchesDenseOracle(t *testing.T) {
 		}
 		pool.Close()
 	}
-	if lostBits == 0 || jointBits == 0 || idleReceivers == 0 {
-		t.Fatalf("cases too tame: %d lost, %d joint, %d idle receivers", lostBits, jointBits, idleReceivers)
+	if lostBits == 0 || jointBits == 0 || captured == 0 || idleReceivers == 0 {
+		t.Fatalf("cases too tame: %d lost, %d joint, %d captured, %d idle receivers",
+			lostBits, jointBits, captured, idleReceivers)
 	}
 }
 

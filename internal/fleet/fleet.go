@@ -18,11 +18,13 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"strconv"
 	"time"
 
@@ -117,12 +119,12 @@ type Config struct {
 	MaxEvents int
 	// CaptureDB is the RSSI margin by which the strongest of several
 	// tags backscattering the same packet must beat the runner-up to be
-	// captured by the receiver (default 10 dB). Below the margin all
-	// colliding tags lose the packet. Boundary semantics are pinned by
-	// TestCaptureMarginBoundary: a margin exactly equal to CaptureDB IS
-	// captured (the loss test is margin < CaptureDB), and an exact RSSI
-	// tie resolves to the lowest tag ID (the contention merge runs in
-	// tag-ID order with strictly-greater comparisons).
+	// captured by the receiver (default 10 dB; NaN is an error). Below
+	// the margin all colliding tags lose the packet. Boundary semantics
+	// are pinned by TestCaptureMarginBoundary: a margin exactly equal to
+	// CaptureDB IS captured (the loss test is margin < CaptureDB). Of
+	// tags with exactly equal RSSI the lowest ID ranks first, so it is
+	// the capture candidate, but its margin of 0 never clears CaptureDB.
 	CaptureDB float64
 	// ConcurrentOFDM is the maximum number of tags the receiver recovers
 	// jointly from one collided 802.11n excitation packet via
@@ -231,34 +233,6 @@ func PlaceReceivers(k int, w, h float64) []ReceiverSpec {
 		out[i] = ReceiverSpec{X: s.X, Y: s.Y}
 	}
 	return out
-}
-
-// contention aggregates, for one (receiver, packet) pair, which tags
-// backscattered the packet. Merged per receiver in tag-ID order, so the
-// winner of an RSSI tie is the lowest tag ID and the aggregate is
-// deterministic.
-type contention struct {
-	count      int32
-	bestTag    int32
-	bestRSSI   float64
-	secondRSSI float64
-}
-
-// add merges one tag's response. Callers MUST add in ascending tag-ID
-// order (contendAt does): the strictly-greater comparisons then make the
-// lowest tag ID the deterministic winner of an exact RSSI tie. Pinned by
-// TestContentionTieBreak.
-func (c *contention) add(tag int32, rssi float64) {
-	c.count++
-	switch {
-	case c.count == 1:
-		c.bestTag, c.bestRSSI, c.secondRSSI = tag, rssi, math.Inf(-1)
-	case rssi > c.bestRSSI:
-		c.secondRSSI = c.bestRSSI
-		c.bestTag, c.bestRSSI = tag, rssi
-	case rssi > c.secondRSSI:
-		c.secondRSSI = rssi
-	}
 }
 
 // tracedContention is what a traced response's downlink trace details
@@ -383,16 +357,18 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	cfg.Obs.Gauge("fleet.workers").Set(float64(fr.cfg.Pool.Size()))
 
+	// Method expressions, not method values: the table allocates no
+	// closures.
 	for _, phase := range []struct {
 		stage string
-		run   func(context.Context)
+		run   func(*fleetRun, context.Context)
 	}{
-		{"fleet.identify", fr.identify},
-		{"fleet.contention", fr.contend},
-		{"fleet.downlink", fr.downlink},
+		{"fleet.identify", (*fleetRun).identify},
+		{"fleet.contention", (*fleetRun).contend},
+		{"fleet.downlink", (*fleetRun).downlink},
 	} {
 		t0 := time.Now()
-		phase.run(ctx)
+		phase.run(fr, ctx)
 		cfg.Obs.Stage(phase.stage).ObserveSince(t0)
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("fleet: run aborted: %w", err)
@@ -431,6 +407,9 @@ func withDefaults(cfg Config) (Config, error) {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	if math.IsNaN(cfg.CaptureDB) {
+		return cfg, fmt.Errorf("fleet: capture margin is NaN")
 	}
 	if cfg.CaptureDB <= 0 {
 		cfg.CaptureDB = 10
@@ -598,6 +577,15 @@ func newRun(cfg Config) (*fleetRun, error) {
 		fr.tags[i] = t
 	}
 	fr.stats = table.prefill(fr.tags, cfg.Sources)
+	// Contention ranks tags by RSSI, which a NaN channel parameter
+	// would leave without an order.
+	for _, t := range fr.tags {
+		for _, e := range &t.linked {
+			if math.IsNaN(e.RSSIdBm) {
+				return nil, fmt.Errorf("fleet: tag %d's link RSSI is NaN; check the channel model", t.id)
+			}
+		}
+	}
 	buildWakeSchedules(fr.tags, events, cfg.Seed)
 	// A counting sort by receiver; tags enter in ID order, so each
 	// receiver's stay in ascending ID.
@@ -684,7 +672,7 @@ func (fr *fleetRun) identify(ctx context.Context) {
 					awake = t.wake.awake[w]
 				}
 				var supported uint64
-				for p, set := range fr.byProto {
+				for p, set := range &fr.byProto {
 					if set != nil && t.supported[p] {
 						supported |= set[w]
 					}
@@ -714,7 +702,7 @@ func (fr *fleetRun) identify(ctx context.Context) {
 // countIdentify adds the identify outcomes of t's packets among the 64
 // of word w to its counts.
 func (fr *fleetRun) countIdentify(t *tagRun, w int, awake, drawn, missed, supported uint64) {
-	for p, set := range fr.byProto {
+	for p, set := range &fr.byProto {
 		if set == nil {
 			continue
 		}
@@ -763,94 +751,202 @@ func (t *tagRun) traceIdentify(tr *ptrace.ShardRecorder, e excite.Event, i int, 
 // same excitation packet toward the same receiver interfere, and the
 // receiver captures the strongest only if it clears the capture margin.
 // It runs on the pool in receiver groups, receiver r in task r mod
-// tasks. A receiver's verdicts depend only on its own tags, so the
-// grouping cannot change them.
+// tasks, and each task reuses one rank scratch across its receivers. A
+// receiver's verdicts depend only on its own tags, so the grouping
+// cannot change them.
 func (fr *fleetRun) contend(ctx context.Context) {
 	tasks := min(len(fr.receivers), fr.cfg.Pool.Size())
+	most := 0
+	for r := range fr.receivers {
+		most = max(most, fr.rxStart[r+1]-fr.rxStart[r])
+	}
+	orders := make([]rank, tasks*protocolSlots*most)
+	words := make([]uint64, tasks*3*most)
 	runShards(ctx, fr.cfg.Pool, tasks, func(task int) {
+		rk := newRanks(orders, words, task, most)
 		for r := task; r < len(fr.receivers); r += tasks {
 			if tags := fr.byRx[fr.rxStart[r]:fr.rxStart[r+1]]; len(tags) > 0 {
-				fr.contendAt(tags)
+				fr.contendAt(&rk, tags)
 			}
 		}
 	})
 }
 
-// contendAt arbitrates one receiver's tags 64 timeline packets at a
-// time. It merges the tags' responses among those packets into a window
-// of 64 cells, in ascending tag ID; writes each tag's lost and joint
-// bits for them, and the contention of each traced response; and clears
-// the cells it touched.
-func (fr *fleetRun) contendAt(tags []*tagRun) {
-	var cells [64]contention
-	var ofdm packetSet
-	if fr.cfg.ConcurrentOFDM > 1 {
-		ofdm = fr.byProto[radio.Protocol80211n]
+// rank is one tag's place in a receiver's RSSI order of one protocol.
+type rank struct {
+	// tag indexes the receiver's tags, and rssi is its RSSI under the
+	// protocol.
+	tag  int
+	rssi float64
+	// prefix is how many leading tags of the order capture a packet on
+	// which this tag is the runner-up.
+	prefix int
+}
+
+// ranks is a contention task's scratch, sized for the run's largest
+// receiver and reused across the task's receivers.
+type ranks struct {
+	// order holds, per protocol, the receiver's tags that support it,
+	// strongest first.
+	order [protocolSlots][]rank
+	// resp holds each tag's responses in the current word; seen1, at
+	// position j of an order, the packets a tag before j responded to;
+	// and over[m-3], the packets at least m tags responded to.
+	resp, seen1, over []uint64
+}
+
+// newRanks cuts task's scratch, for receivers of up to n tags, from
+// orders and words, which hold protocolSlots·n ranks and 3n words per
+// task.
+func newRanks(orders []rank, words []uint64, task, n int) ranks {
+	var rk ranks
+	orders = orders[task*protocolSlots*n:]
+	for p := range rk.order {
+		rk.order[p] = orders[p*n : p*n : (p+1)*n]
 	}
+	words = words[task*3*n:]
+	rk.resp, rk.seen1, rk.over = words[:n], words[n:2*n], words[2*n:3*n]
+	return rk
+}
+
+// contendAt arbitrates one receiver's tags on the RSSI order of each
+// protocol. Every tag's RSSI is fixed per protocol for the whole run, so
+// a packet's best tag is the first of the order to respond and its
+// runner-up the second: the same winner, ties to the lowest ID, that a
+// merge of the responses in ID order with strict comparisons gives. A
+// runner-up at position j loses to the tags of the order's first
+// prefix positions by at least CaptureDB: floating-point subtraction
+// rounds monotonically, so those tags form a prefix, and the prefix
+// grows with j. The best tag captures a packet exactly when it
+// responded within its runner-up's prefix.
+func (fr *fleetRun) contendAt(rk *ranks, tags []*tagRun) {
+	capture := fr.cfg.CaptureDB
+	for p, set := range &fr.byProto {
+		order := rk.order[p][:0]
+		if set != nil {
+			for i, t := range tags {
+				if t.supported[p] {
+					order = append(order, rank{tag: i, rssi: t.linked[p].RSSIdBm})
+				}
+			}
+			slices.SortFunc(order, func(a, b rank) int {
+				return cmp.Or(cmp.Compare(b.rssi, a.rssi), a.tag-b.tag)
+			})
+			// The prefix of position j never passes j: the best tag of
+			// a packet always precedes its runner-up, so a longer prefix
+			// would capture the same packets.
+			k := 0
+			for j := range order {
+				for k < j && !(order[k].rssi-order[j].rssi < capture) {
+					k++
+				}
+				order[j].prefix = k
+			}
+		}
+		rk.order[p] = order
+	}
+
 	for w := range fr.clean {
 		var touched uint64
-		for _, t := range tags {
-			resp := t.responses[w]
-			if resp == 0 {
-				continue
-			}
-			touched |= resp
-			for p, set := range fr.byProto {
-				if set == nil {
-					continue
-				}
-				rssi := t.linked[p].RSSIdBm
-				for m := resp & set[w]; m != 0; m &= m - 1 {
-					cells[bits.TrailingZeros64(m)].add(int32(t.id), rssi)
-				}
-			}
+		for i, t := range tags {
+			rk.resp[i] = t.responses[w]
+			touched |= rk.resp[i]
 		}
 		if touched == 0 {
 			continue
 		}
-		var jointable, sampled uint64
-		if ofdm != nil {
-			jointable = ofdm[w]
+		for p, set := range &fr.byProto {
+			if set != nil && set[w]&touched != 0 {
+				fr.rankWord(rk, tags, w, radio.Protocol(p), set[w])
+			}
 		}
 		if fr.sampled != nil {
-			sampled = fr.sampled[w]
+			fr.traceContention(rk, tags, w, fr.sampled[w]&touched)
 		}
-		for _, t := range tags {
-			resp := t.responses[w]
-			if resp == 0 {
+	}
+}
+
+// rankWord writes the lost and joint bits of the receiver's tags among
+// pw, word w's packets of protocol p. A first walk down p's order finds
+// the collided packets (seen2), the captured ones, and, where 802.11n's
+// joint limit is below the order's length, the packets too crowded to
+// decode jointly; a second walk marks each responder's verdicts.
+func (fr *fleetRun) rankWord(rk *ranks, tags []*tagRun, w int, p radio.Protocol, pw uint64) {
+	order := rk.order[p]
+	var over []uint64
+	jointable := p == radio.Protocol80211n && fr.cfg.ConcurrentOFDM > 1
+	if jointable && fr.cfg.ConcurrentOFDM < len(order) {
+		over = rk.over[:fr.cfg.ConcurrentOFDM-1]
+		clear(over)
+	}
+	var seen1, seen2, captured uint64
+	for j, r := range order {
+		x := rk.resp[r.tag] & pw
+		rk.seen1[j] = seen1
+		// Where this tag is the runner-up, the best tag captures if it
+		// is within this tag's prefix.
+		captured |= x & seen1 &^ seen2 & rk.seen1[r.prefix]
+		if over != nil {
+			for m := len(over) - 1; m > 0; m-- {
+				over[m] |= over[m-1] & x
+			}
+			over[0] |= seen2 & x
+		}
+		seen2 |= seen1 & x
+		seen1 |= x
+	}
+	if seen2 == 0 {
+		return
+	}
+	// A collision of up to ConcurrentOFDM tags on an 802.11n packet is
+	// not arbitrated by capture: every participant rides its own
+	// subcarrier group (ofdm.AssignConcurrent) and the receiver separates
+	// them jointly. Any other collision costs every responder the packet
+	// but a best tag that captured it.
+	var joint uint64
+	if jointable {
+		joint = seen2
+		if over != nil {
+			joint &^= over[len(over)-1]
+		}
+	}
+	contested := seen2 &^ joint
+	for j, r := range order {
+		x := rk.resp[r.tag] & seen2
+		if x == 0 {
+			continue
+		}
+		t := tags[r.tag]
+		t.lost[w] |= x & contested &^ (captured &^ rk.seen1[j])
+		t.joint[w] |= x & joint
+	}
+}
+
+// traceContention appends, for each of the traced packets among word w
+// with a response at the receiver, how many of its tags responded and
+// the best one's RSSI margin over the runner-up to every responder's
+// traced contentions. The packets go in ascending order, so each tag's
+// stay in packet order.
+func (fr *fleetRun) traceContention(rk *ranks, tags []*tagRun, w int, sampled uint64) {
+	for m := sampled; m != 0; m &= m - 1 {
+		bit := m & -m
+		var c tracedContention
+		best, second := 0.0, math.Inf(-1)
+		for _, r := range rk.order[fr.events[w*64+bits.TrailingZeros64(m)].Protocol] {
+			if rk.resp[r.tag]&bit == 0 {
 				continue
 			}
-			var lost, joint uint64
-			for m := resp; m != 0; m &= m - 1 {
-				bit := m & -m
-				c := &cells[bits.TrailingZeros64(m)]
-				switch {
-				case c.count < 2:
-				// Concurrent OFDM joint decode: a collision of up to
-				// ConcurrentOFDM tags on an 802.11n packet is not
-				// arbitrated by capture at all — every participant rides
-				// its own subcarrier group (ofdm.AssignConcurrent) and the
-				// receiver separates them jointly. The decision depends
-				// only on the shared contention count, so it is identical
-				// for every participant and at any Workers value.
-				case jointable&bit != 0 && int(c.count) <= fr.cfg.ConcurrentOFDM:
-					joint |= bit
-				// Capture-loss boundary (pinned by TestCaptureMarginBoundary):
-				// a margin strictly below CaptureDB loses; exactly CaptureDB
-				// is captured. An exact RSSI tie makes the margin 0 (< any
-				// positive CaptureDB), but bestTag — the lowest tag ID, by
-				// merge order — is still the deterministic capture candidate.
-				case c.bestTag != int32(t.id) || c.bestRSSI-c.secondRSSI < fr.cfg.CaptureDB:
-					lost |= bit
-				}
-				if sampled&bit != 0 {
-					t.traced = append(t.traced, tracedContention{c.count, c.bestRSSI - c.secondRSSI})
-				}
+			if c.count++; c.count == 1 {
+				best = r.rssi
+			} else if c.count == 2 {
+				second = r.rssi
 			}
-			t.lost[w], t.joint[w] = lost, joint
 		}
-		for m := touched; m != 0; m &= m - 1 {
-			cells[bits.TrailingZeros64(m)] = contention{}
+		c.marginDB = best - second
+		for i, t := range tags {
+			if rk.resp[i]&bit != 0 {
+				t.traced = append(t.traced, c)
+			}
 		}
 	}
 }
@@ -884,7 +980,7 @@ func (fr *fleetRun) downlink(ctx context.Context) {
 				// inRange holds the packets whose protocol the tag's link
 				// reaches, erring those it reaches with PER > 0.
 				var inRange, erring uint64
-				for p, set := range fr.byProto {
+				for p, set := range &fr.byProto {
 					if set != nil && t.linked[p].InRange {
 						inRange |= set[w]
 						if t.linked[p].PERTag > 0 {
@@ -919,7 +1015,7 @@ func (fr *fleetRun) downlink(ctx context.Context) {
 // of word w to its counts, and the delivered packets' bits to its
 // protocol totals and to its shard's bucket totals.
 func (fr *fleetRun) countDownlink(t *tagRun, buckets []int, w int, lost, joint, survived, delivered uint64) {
-	for p, set := range fr.byProto {
+	for p, set := range &fr.byProto {
 		if set == nil {
 			continue
 		}

@@ -79,6 +79,19 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("expected error for an overflowing bucket length")
 	}
+	// A NaN capture margin fails every margin < CaptureDB test, so the
+	// strongest tag would capture every collision.
+	cfg = Config{Sources: []excite.Source{wifiSource(10)}, Tags: PlaceGrid(1, 1, 1), CaptureDB: math.NaN()}
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("expected error for a NaN capture margin")
+	}
+	// A NaN shadowing σ makes every RSSI NaN, and NaNs have no RSSI order.
+	ch := channel.NewLoS()
+	ch.ShadowSigmaDB = math.NaN()
+	cfg = Config{Sources: []excite.Source{wifiSource(10)}, Tags: PlaceGrid(1, 1, 1), Channel: ch}
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("expected error for a NaN link RSSI")
+	}
 }
 
 func TestFleetDeterministicAcrossWorkers(t *testing.T) {

@@ -265,18 +265,30 @@ func fig4(r *renderer) error {
 	return nil
 }
 
-// identify runs one identification operating point at the report's
-// trials and seed, renders its row of an identification table and
-// records its average accuracy.
-func (r *renderer) identify(label, key, paper string, o core.IdentifyOptions) (*stats.Confusion, error) {
+// score acquires and scores the traces of one identification operating
+// point at the report's trials and seed.
+func (r *renderer) score(o core.IdentifyOptions) (*core.IdentScores, error) {
 	o.Trials, o.Seed = r.o.Trials, r.o.Seed
-	c, _, err := core.RunIdentification(o)
+	return core.ScoreIdentification(o)
+}
+
+// identRow decides one matching policy on s, renders its row of an
+// identification table and records its average accuracy.
+func (r *renderer) identRow(label, key, paper string, s *core.IdentScores, ordered bool) *stats.Confusion {
+	c, _ := s.Decide(ordered)
+	r.printf("| %s | %.3f | %s |\n", label, c.Average(), paper)
+	r.metric("identification", key, c.Average())
+	return c
+}
+
+// identify runs one operating point under o's matching policy and
+// renders its row.
+func (r *renderer) identify(label, key, paper string, o core.IdentifyOptions) (*stats.Confusion, error) {
+	s, err := r.score(o)
 	if err != nil {
 		return nil, err
 	}
-	r.printf("| %s | %.3f | %s |\n", label, c.Average(), paper)
-	r.metric("identification", key, c.Average())
-	return c, nil
+	return r.identRow(label, key, paper, s, o.Ordered), nil
 }
 
 const identHeader = "| operating point | measured | paper |\n|---|---|---|\n"
@@ -292,15 +304,16 @@ func fig5(r *renderer) error {
 	return nil
 }
 
+// fig7 decides blind and ordered matching on the same scored traces.
 func fig7(r *renderer) error {
-	r.printf(identHeader)
-	if _, err := r.identify("10 Msps, ±1, blind", "accuracy_10msps_quant_blind", "0.906",
-		core.IdentifyOptions{ADCRate: 10e6, Quantized: true}); err != nil {
+	s, err := r.score(core.IdentifyOptions{ADCRate: 10e6, Quantized: true})
+	if err != nil {
 		return err
 	}
-	_, err := r.identify("10 Msps, ±1, ordered", "accuracy_10msps_quant_ordered", "0.976",
-		core.IdentifyOptions{ADCRate: 10e6, Quantized: true, Ordered: true})
-	return err
+	r.printf(identHeader)
+	r.identRow("10 Msps, ±1, blind", "accuracy_10msps_quant_blind", "0.906", s, false)
+	r.identRow("10 Msps, ±1, ordered", "accuracy_10msps_quant_ordered", "0.976", s, true)
+	return nil
 }
 
 func fig8(r *renderer) error {

@@ -1,10 +1,10 @@
 #!/bin/sh
-# Full verification gate: build, vet, race-enabled tests, the benchmark
-# module's own tests, golden replay diff, the fig15/fig16 demos, the
-# docs link check, every fuzz target for 3 s, the msserve end-to-end
-# smoke (race-built server, byte-identical results, graceful drain) and
-# the msbench metrics diff against the committed baseline. `make check`
-# and CI run this script.
+# Full verification gate: build, vet, gofmt, race-enabled tests, the
+# benchmark module's own tests, golden replay diff, the fig15/fig16
+# demos, the docs link check, every fuzz target for 3 s, the msserve
+# end-to-end smoke (race-built server, byte-identical results, graceful
+# drain) and the msbench metrics diff against the committed baseline.
+# `make check` and CI run this script.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -12,6 +12,13 @@ echo "== go build ./..."
 go build ./...
 echo "== go vet ./..."
 go vet ./...
+echo "== gofmt -l (every tracked Go file)"
+unformatted=$(gofmt -l $(git ls-files '*.go'))
+if [ -n "$unformatted" ]; then
+	echo "gofmt: not formatted:"
+	echo "$unformatted"
+	exit 1
+fi
 echo "== go test -race ./..."
 go test -race ./...
 echo "== msperf module tests (cmd/msperf is its own module)"
