@@ -756,14 +756,21 @@ func (t *tagRun) traceIdentify(tr *ptrace.ShardRecorder, e excite.Event, i int, 
 // cannot change them.
 func (fr *fleetRun) contend(ctx context.Context) {
 	tasks := min(len(fr.receivers), fr.cfg.Pool.Size())
-	most := 0
+	// Each task's scratch fits its largest receiver: task t's share of
+	// the arrays below starts start[t] tags in and spans
+	// start[t+1]-start[t] tags, so all of it spans at most every tag.
+	start := make([]int, tasks+1)
 	for r := range fr.receivers {
-		most = max(most, fr.rxStart[r+1]-fr.rxStart[r])
+		start[r%tasks+1] = max(start[r%tasks+1], fr.rxStart[r+1]-fr.rxStart[r])
 	}
-	orders := make([]rank, tasks*protocolSlots*most)
-	words := make([]uint64, tasks*3*most)
+	for t := range tasks {
+		start[t+1] += start[t]
+	}
+	orders := make([]rank, protocolSlots*start[tasks])
+	words := make([]uint64, 3*start[tasks])
 	runShards(ctx, fr.cfg.Pool, tasks, func(task int) {
-		rk := newRanks(orders, words, task, most)
+		a, b := start[task], start[task+1]
+		rk := newRanks(orders[protocolSlots*a:protocolSlots*b], words[3*a:3*b])
 		for r := task; r < len(fr.receivers); r += tasks {
 			if tags := fr.byRx[fr.rxStart[r]:fr.rxStart[r+1]]; len(tags) > 0 {
 				fr.contendAt(&rk, tags)
@@ -783,8 +790,8 @@ type rank struct {
 	prefix int
 }
 
-// ranks is a contention task's scratch, sized for the run's largest
-// receiver and reused across the task's receivers.
+// ranks is a contention task's scratch, sized for the task's largest
+// receiver and reused across its receivers.
 type ranks struct {
 	// order holds, per protocol, the receiver's tags that support it,
 	// strongest first.
@@ -795,17 +802,15 @@ type ranks struct {
 	resp, seen1, over []uint64
 }
 
-// newRanks cuts task's scratch, for receivers of up to n tags, from
-// orders and words, which hold protocolSlots·n ranks and 3n words per
-// task.
-func newRanks(orders []rank, words []uint64, task, n int) ranks {
+// newRanks cuts scratch for receivers of up to n tags from orders
+// (protocolSlots·n ranks) and words (3n words).
+func newRanks(orders []rank, words []uint64) ranks {
 	var rk ranks
-	orders = orders[task*protocolSlots*n:]
+	n := len(words) / 3
 	for p := range rk.order {
 		rk.order[p] = orders[p*n : p*n : (p+1)*n]
 	}
-	words = words[task*3*n:]
-	rk.resp, rk.seen1, rk.over = words[:n], words[n:2*n], words[2*n:3*n]
+	rk.resp, rk.seen1, rk.over = words[:n], words[n:2*n], words[2*n:]
 	return rk
 }
 
