@@ -96,7 +96,7 @@ type Config struct {
 	BucketMS int
 	// Seed for reproducibility. The excitation timeline draws from
 	// sim.SeedRNG(Seed, StreamFleetTimeline); shard s draws from
-	// sim.SeedRNG(Seed+s, StreamFleetShard/StreamFleetDownlink);
+	// sim.SeedSource(Seed+s, StreamFleetShard/StreamFleetDownlink);
 	// link shadowing draws from sim.SeedRNGAt(Seed, StreamFleetShadow,
 	// linkKey) and harvest jitter from sim.SeedRNGAt(Seed,
 	// StreamEnergyHarvest, tagID).
@@ -252,7 +252,9 @@ type tagRun struct {
 	bucket    int
 	mode      overlay.Mode
 	supported [protocolSlots]bool
-	accuracy  [protocolSlots]float64
+	// missCut holds, per protocol, the sim.Cut of the tag's
+	// identification accuracy: a draw above it misses the packet.
+	missCut [protocolSlots]int64
 
 	// linked holds the tag's calibrated working point per protocol and
 	// bits the tag-bit capacity of one packet per excitation source
@@ -392,6 +394,23 @@ func withDefaults(cfg Config) (Config, error) {
 	if len(cfg.Tags) == 0 {
 		return cfg, fmt.Errorf("fleet: no tags")
 	}
+	// A non-finite coordinate has no distance to a receiver, and a NaN
+	// accuracy fails every draw's comparison, so no packet would miss.
+	for i, t := range cfg.Tags {
+		if !finite(t.X) || !finite(t.Y) {
+			return cfg, fmt.Errorf("fleet: tag %d is at (%v, %v), not a finite point", i, t.X, t.Y)
+		}
+		for p, a := range t.IdentAccuracy {
+			if math.IsNaN(a) {
+				return cfg, fmt.Errorf("fleet: tag %d's %v identification accuracy is NaN", i, p)
+			}
+		}
+	}
+	for i, r := range cfg.Receivers {
+		if !finite(r.X) || !finite(r.Y) {
+			return cfg, fmt.Errorf("fleet: receiver %d is at (%v, %v), not a finite point", i, r.X, r.Y)
+		}
+	}
 	if cfg.Span <= 0 {
 		cfg.Span = 10 * time.Second
 	}
@@ -435,6 +454,9 @@ func withDefaults(cfg Config) (Config, error) {
 	return cfg, nil
 }
 
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // fleetRun is one run's state between its phases: the shared timeline
 // and its packet sets, and the tags in two partitions, by shard for
 // identify and downlink and by receiver for contention. newRun writes
@@ -449,12 +471,14 @@ type fleetRun struct {
 	exciteCollided int
 	// clean holds the packets no other source overlaps on air, byProto
 	// each protocol's packets and bySource each source's (nil for a
-	// protocol or source the timeline lacks). bucket is each packet's
-	// throughput-timeline bucket, and wordBucket the bucket of each
-	// word's 64 packets, or -1 where they span two.
+	// protocol or source the timeline lacks). proto is each packet's
+	// protocol, padded to whole words, bucket its throughput-timeline
+	// bucket, and wordBucket the bucket of each word's 64 packets, or -1
+	// where they span two.
 	clean      packetSet
 	byProto    [protocolSlots]packetSet
 	bySource   []packetSet
+	proto      []uint8
 	bucket     []int
 	wordBucket []int
 	// sampled holds the packets the flight recorder traces; nil when
@@ -501,6 +525,7 @@ func newRun(cfg Config) (*fleetRun, error) {
 	fr.events = events
 	fr.clean = newPacketSet(len(events))
 	fr.bySource = make([]packetSet, len(cfg.Sources))
+	fr.proto = make([]uint8, 64*len(fr.clean))
 	fr.bucket = make([]int, len(events))
 	for i, c := range excite.CollisionFlags(events) {
 		e := events[i]
@@ -512,6 +537,7 @@ func newRun(cfg Config) (*fleetRun, error) {
 			fr.bySource[e.Source] = newPacketSet(len(events))
 		}
 		fr.bySource[e.Source].set(i)
+		fr.proto[i] = uint8(e.Protocol)
 		if c {
 			fr.exciteCollided++
 		} else {
@@ -572,7 +598,7 @@ func newRun(cfg Config) (*fleetRun, error) {
 			if a <= 0 {
 				a = sim.DefaultIdentAccuracy[p]
 			}
-			t.accuracy[p] = a
+			t.missCut[p] = sim.Cut(a)
 		}
 		fr.tags[i] = t
 	}
@@ -649,18 +675,20 @@ func (fr *fleetRun) timedShard(fn func(int)) func(int) {
 
 // identify classifies, on the tag shards, every packet for every tag,
 // 64 timeline packets at a time: asleep, air-collided, misidentified,
-// unsupported, or a response. Only the identification draws visit
-// packets one by one, and only the packets that draw (awake and clean),
-// in ascending order, which the shard's stream follows; the outcomes are
-// counted by popcount over the protocol sets. The traced packets are
-// visited in ascending order too, and untraced ones emit nothing, so
-// each shard's ring receives the same events in the same order as a
-// visit of every packet would give it.
+// unsupported, or a response. Only the packets that draw (awake and
+// clean) take an identification draw, one block of draws per word, in
+// ascending packet order, which the shard's stream follows; a draw
+// misses its packet when it exceeds the tag's cut for the packet's
+// protocol, and the outcomes are counted by popcount over the protocol
+// sets. The traced packets are visited in ascending order too, and
+// untraced ones emit nothing, so each shard's ring receives the same
+// events in the same order as a visit of every packet would give it.
 func (fr *fleetRun) identify(ctx context.Context) {
 	events := fr.events
 	runShards(ctx, fr.cfg.Pool, len(fr.shardTags), fr.timedShard(func(shard int) {
-		rng := sim.SeedRNG(fr.cfg.Seed+int64(shard), sim.StreamFleetShard)
+		rng := sim.SeedSource(fr.cfg.Seed+int64(shard), sim.StreamFleetShard)
 		tr := fr.cfg.Trace.Shard(shard)
+		var draws [64]int64
 		for _, t := range fr.shardTags[shard] {
 			modeStr := ""
 			if tr != nil {
@@ -678,11 +706,18 @@ func (fr *fleetRun) identify(ctx context.Context) {
 					}
 				}
 				drawn := clean & awake
+				xs := draws[:bits.OnesCount64(drawn)]
+				rng.Float64Ints(xs)
+				proto := (*[64]uint8)(fr.proto[w*64:])
+				// The k-th draw belongs to drawn's k-th packet. Draws and
+				// cuts lie in [-1, 2⁶³), so the difference's sign bit is
+				// set exactly when the draw exceeds the cut.
 				var missed uint64
-				for m := drawn; m != 0; m &= m - 1 {
-					if rng.Float64() > t.accuracy[events[w*64+bits.TrailingZeros64(m)].Protocol] {
-						missed |= m & -m
-					}
+				m := drawn
+				for _, x := range xs {
+					i := bits.TrailingZeros64(m) & 63
+					m &= m - 1
+					missed |= uint64(t.missCut[proto[i]]-x) >> 63 << i
 				}
 				t.responses[w] = drawn &^ missed & supported
 				fr.countIdentify(t, w, awake, drawn, missed, supported)
@@ -965,7 +1000,7 @@ func (fr *fleetRun) traceContention(rk *ranks, tags []*tagRun, w int, sampled ui
 func (fr *fleetRun) downlink(ctx context.Context) {
 	cfg, events := fr.cfg, fr.events
 	runShards(ctx, cfg.Pool, len(fr.shardTags), fr.timedShard(func(shard int) {
-		rng := sim.SeedRNG(cfg.Seed+int64(shard), sim.StreamFleetDownlink)
+		rng := sim.SeedSource(cfg.Seed+int64(shard), sim.StreamFleetDownlink)
 		tr := cfg.Trace.Shard(shard)
 		buckets := fr.shardBuckets[shard]
 		for _, t := range fr.shardTags[shard] {
@@ -996,8 +1031,7 @@ func (fr *fleetRun) downlink(ctx context.Context) {
 				survived := resp &^ lost
 				delivered := survived & inRange
 				for m := delivered & erring; m != 0; m &= m - 1 {
-					p := events[w*64+bits.TrailingZeros64(m)].Protocol
-					if rng.Float64() < t.linked[p].PERTag {
+					if rng.Float64() < t.linked[fr.proto[w*64+bits.TrailingZeros64(m)]].PERTag {
 						delivered &^= m & -m
 					}
 				}

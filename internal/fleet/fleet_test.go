@@ -92,6 +92,36 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("expected error for a NaN link RSSI")
 	}
+	// A tag or receiver off the finite plane has no distance, and a NaN
+	// accuracy would never miss a packet.
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, edit := range map[string]func(*Config){
+		"tag x NaN":          func(c *Config) { c.Tags[1].X = nan },
+		"tag y +Inf":         func(c *Config) { c.Tags[0].Y = inf },
+		"tag x -Inf":         func(c *Config) { c.Tags[0].X = -inf },
+		"receiver x NaN":     func(c *Config) { c.Receivers[0].X = nan },
+		"receiver y -Inf":    func(c *Config) { c.Receivers[1].Y = -inf },
+		"NaN BLE accuracy":   func(c *Config) { c.Tags[1].IdentAccuracy = map[radio.Protocol]float64{radio.ProtocolBLE: nan} },
+		"NaN 802.11n (only)": func(c *Config) { c.Tags[0].IdentAccuracy = map[radio.Protocol]float64{radio.Protocol80211n: nan} },
+	} {
+		cfg := Config{Sources: []excite.Source{wifiSource(10)}, Tags: PlaceGrid(2, 1, 1),
+			Receivers: PlaceReceivers(2, 1, 1), Span: 100 * time.Millisecond}
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("%s: the unedited config fails: %v", name, err)
+		}
+		edit(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s: expected an error", name)
+		}
+	}
+	// An accuracy of +Inf, like any above 1, runs and never misses.
+	cfg = Config{Sources: []excite.Source{wifiSource(300)}, Tags: PlaceGrid(1, 1, 1), Span: time.Second}
+	cfg.Tags[0].IdentAccuracy = map[radio.Protocol]float64{radio.Protocol80211n: inf}
+	if res, err := Run(cfg); err != nil {
+		t.Fatalf("+Inf accuracy: %v", err)
+	} else if n := res.Tags[0].Outcomes[sim.Misidentified]; n != 0 || res.Tags[0].Outcomes[sim.Delivered] == 0 {
+		t.Fatalf("+Inf accuracy: %d packets missed, %d delivered", n, res.Tags[0].Outcomes[sim.Delivered])
+	}
 }
 
 func TestFleetDeterministicAcrossWorkers(t *testing.T) {

@@ -15,6 +15,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -178,17 +179,29 @@ func BenchJobs(n int) []JobConfig {
 }
 
 // ParseFloor parses "30x50" into width and height in metres — the
-// -floor syntax shared by msfleet and msload.
+// -floor syntax shared by msfleet and msload. Each size must be positive
+// and finite.
 func ParseFloor(s string) (w, h float64, err error) {
 	parts := strings.SplitN(strings.ToLower(s), "x", 2)
 	if len(parts) != 2 {
 		return 0, 0, fmt.Errorf("bad floor %q (want WxH, e.g. 30x50)", s)
 	}
-	if w, err = strconv.ParseFloat(parts[0], 64); err != nil || w <= 0 {
+	if w, err = parseSize(parts[0]); err != nil {
 		return 0, 0, fmt.Errorf("bad floor width %q", parts[0])
 	}
-	if h, err = strconv.ParseFloat(parts[1], 64); err != nil || h <= 0 {
+	if h, err = parseSize(parts[1]); err != nil {
 		return 0, 0, fmt.Errorf("bad floor height %q", parts[1])
 	}
 	return w, h, nil
+}
+
+// parseSize parses one positive, finite floor size. strconv.ParseFloat
+// accepts "NaN" and "Inf", and NaN fails every comparison, so the check
+// is !(0 < v < +Inf).
+func parseSize(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && !(v > 0 && v < math.Inf(1)) {
+		err = fmt.Errorf("size %v is not positive and finite", v)
+	}
+	return v, err
 }

@@ -519,6 +519,14 @@ func TestParseFloor(t *testing.T) {
 	if _, _, err := ParseFloor("0x5"); err == nil {
 		t.Fatal("want error for zero width")
 	}
+	// strconv.ParseFloat accepts spellings of NaN and ±Inf, and a NaN
+	// size passes a w <= 0 check; the last three are out of range.
+	for _, s := range []string{"NaNx50", "nanx50", "30xNaN", "30xInf", "infx50",
+		"+Infx50", "30x-inf", "30xInfinity", "1e309x50", "-5x50", "30x-0"} {
+		if _, _, err := ParseFloor(s); err == nil {
+			t.Errorf("ParseFloor(%q): want error", s)
+		}
+	}
 }
 
 // TestDoubleDeckerJob pins the phase/baseline job plumbing: a

@@ -54,6 +54,19 @@ func SeedRNG(seed, stream int64) *rand.Rand {
 // Site 0 is the plain stream: SeedRNGAt(seed, stream, 0) == SeedRNG(seed,
 // stream).
 func SeedRNGAt(seed, stream int64, site uint64) *rand.Rand {
+	return rand.New(NewSource(mixSeed(seed, stream, site)))
+}
+
+// SeedSource is SeedRNG's generator itself, for a hot loop that draws
+// without rand.Rand's interface dispatch: SeedRNG(seed, stream) is
+// rand.New(SeedSource(seed, stream)).
+func SeedSource(seed, stream int64) *Source {
+	return NewSource(mixSeed(seed, stream, 0))
+}
+
+// mixSeed is the SplitMix64-style finalizer that turns a (seed, stream,
+// site) triple into the generator's seed.
+func mixSeed(seed, stream int64, site uint64) int64 {
 	z := uint64(seed)
 	z ^= uint64(stream) * 0x9E3779B97F4A7C15
 	z ^= site * 0xD1B54A32D192ED03
@@ -63,5 +76,5 @@ func SeedRNGAt(seed, stream int64, site uint64) *rand.Rand {
 	z ^= z >> 27
 	z *= 0x94D049BB133111EB
 	z ^= z >> 31
-	return rand.New(rand.NewSource(int64(z)))
+	return int64(z)
 }

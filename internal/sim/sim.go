@@ -3,7 +3,8 @@
 // Outcome classes, the per-packet overlay capacity (PacketBits), the
 // paper's identification accuracies, the harvesting configuration, and
 // the seeded RNG streams (SeedRNG/SeedRNGAt) every random draw flows
-// through. A single-tag deployment is a one-tag fleet.Config.
+// through, each on a Source, math/rand's generator as a concrete type.
+// A single-tag deployment is a one-tag fleet.Config.
 package sim
 
 import (
