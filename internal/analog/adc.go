@@ -79,23 +79,6 @@ func (a *ADC) noiseSigmaVolts() float64 {
 	return a.NoiseLSB * vref / float64(int(1)<<uint(bits)-1)
 }
 
-// SampleCodes is like Sample but returns raw converter codes.
-func (a *ADC) SampleCodes(v []float64, inRate float64) []int {
-	if a.Rate <= 0 || inRate <= 0 || len(v) == 0 {
-		return nil
-	}
-	res := dsp.ResampleLinear(v, inRate, a.Rate)
-	noise := a.noiseSigmaVolts()
-	out := make([]int, len(res))
-	for i, x := range res {
-		if noise > 0 {
-			x += a.Rand.NormFloat64() * noise
-		}
-		out[i] = a.Code(x)
-	}
-	return out
-}
-
 // Code converts a voltage to a converter code in [0, 2^Bits-1].
 func (a *ADC) Code(v float64) int {
 	bits := a.Bits

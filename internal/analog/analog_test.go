@@ -114,18 +114,6 @@ func TestRectifierDegenerateInputs(t *testing.T) {
 	}
 }
 
-func TestDetectIQMatchesEnvelopeDetect(t *testing.T) {
-	r := NewMultiscatterRectifier()
-	iq := []complex128{3 + 4i, 0.5, 1i, 2}
-	a := r.DetectIQ(iq, 20e6)
-	b := r.Detect([]float64{5, 0.5, 1, 2}, 20e6)
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-12 {
-			t.Fatalf("DetectIQ[%d] = %v, Detect = %v", i, a[i], b[i])
-		}
-	}
-}
-
 func TestSensitivity(t *testing.T) {
 	r := NewMultiscatterRectifier()
 	// At strong input (0 dBm) the 0.15 V threshold is met.
@@ -213,10 +201,6 @@ func TestADCSampleRateConversion(t *testing.T) {
 	if adc.Sample(nil, 20e6) != nil {
 		t.Fatal("nil input")
 	}
-	codes := adc.SampleCodes(in, 20e6)
-	if len(codes) != 1000 || codes[0] != adc.Code(0.4) {
-		t.Fatal("SampleCodes mismatch")
-	}
 }
 
 func TestADCPowerScaling(t *testing.T) {
@@ -241,25 +225,9 @@ func TestADCDefaults(t *testing.T) {
 
 func TestWakeUpReceiver(t *testing.T) {
 	w := NewWakeUpReceiver()
-	// The cited design: 236 nW, −56.5 dBm.
+	// The cited design: 236 nW.
 	if w.PowerMW() != 236e-6 {
 		t.Fatalf("power = %v mW", w.PowerMW())
-	}
-	if !w.Triggers(-50) || w.Triggers(-60) {
-		t.Fatal("trigger threshold wrong")
-	}
-	if w.WakeUpMarginDB(-46.5) != 10 {
-		t.Fatal("margin arithmetic")
-	}
-	// 10 µs latency at 2.5 Msps costs 25 preamble samples.
-	if got := w.MissedPreambleSamples(2.5e6); got != 25 {
-		t.Fatalf("missed samples = %d", got)
-	}
-	// Gating the 15.9 mW oscillator behind the wake-up module saves
-	// ~67,000× in the idle floor.
-	saving := 15.9 / w.SleepFloorMW()
-	if saving < 50000 {
-		t.Fatalf("idle saving = %vx", saving)
 	}
 	// Duty-weighted power: idle → wake-up floor; saturated → awake power.
 	if got := w.EffectiveDutyPower(0, 278.4); got != w.PowerMW() {

@@ -82,12 +82,6 @@ func NewWISPRectifier() *Rectifier {
 	}
 }
 
-// DetectIQ rectifies a complex baseband signal sampled at rate (Hz),
-// returning the output voltage waveform at the same rate.
-func (r *Rectifier) DetectIQ(iq []complex128, rate float64) []float64 {
-	return r.Detect(dsp.Envelope(iq), rate)
-}
-
 // Detect rectifies an envelope waveform env sampled at rate (Hz).
 func (r *Rectifier) Detect(env []float64, rate float64) []float64 {
 	return r.DetectInto(make([]float64, len(env)), env, rate)

@@ -8,49 +8,15 @@ package analog
 type WakeUpReceiver struct {
 	// PowerNW is the always-on draw in nanowatts.
 	PowerNW float64
-	// SensitivityDBm is the weakest input that still triggers.
-	SensitivityDBm float64
-	// LatencyUS is the trigger latency in microseconds — preamble
-	// samples arriving before the main chain powers up are lost, so the
-	// identification window effectively starts late by this much.
-	LatencyUS float64
 }
 
 // NewWakeUpReceiver returns the cited 65 nm design's operating point.
 func NewWakeUpReceiver() *WakeUpReceiver {
-	return &WakeUpReceiver{
-		PowerNW:        236,
-		SensitivityDBm: -56.5,
-		LatencyUS:      10,
-	}
-}
-
-// Triggers reports whether an excitation arriving at inputDBm wakes the
-// tag.
-func (w *WakeUpReceiver) Triggers(inputDBm float64) bool {
-	return inputDBm >= w.SensitivityDBm
+	return &WakeUpReceiver{PowerNW: 236}
 }
 
 // PowerMW returns the draw in milliwatts.
 func (w *WakeUpReceiver) PowerMW() float64 { return w.PowerNW * 1e-6 }
-
-// MissedPreambleSamples returns how many ADC samples of the preamble are
-// lost to the wake-up latency at the given ADC rate.
-func (w *WakeUpReceiver) MissedPreambleSamples(adcRate float64) int {
-	return int(w.LatencyUS*1e-6*adcRate + 0.5)
-}
-
-// SleepFloorMW returns the tag's sleep-state power when the wake-up
-// module gates everything else off, versus the oscillator-on floor
-// oscillatorMW. The saving is oscillatorMW/PowerMW() ≈ 67,000× for the
-// cited design against the prototype's 15.9 mW oscillator.
-func (w *WakeUpReceiver) SleepFloorMW() float64 { return w.PowerMW() }
-
-// WakeUpMarginDB returns how much stronger than the wake-up sensitivity
-// an input of inputDBm is (negative = below sensitivity).
-func (w *WakeUpReceiver) WakeUpMarginDB(inputDBm float64) float64 {
-	return inputDBm - w.SensitivityDBm
-}
 
 // EffectiveDutyPower returns the average power of a wake-up-gated tag
 // serving trafficDuty (fraction of time the main chain must be awake)

@@ -153,8 +153,6 @@ type DecodeConfig struct {
 	BackscatterBER float64
 	// DistanceM drives the modulation offset.
 	DistanceM float64
-	// PacketBits sizes packets for PER accounting.
-	PacketBits int
 }
 
 // TagBER returns the end-to-end tag-data BER of the baseline, counting

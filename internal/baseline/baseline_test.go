@@ -101,7 +101,6 @@ func TestTagBERFig9Shape(t *testing.T) {
 		OriginalSNRdB:  9,
 		BackscatterBER: 0.002,
 		DistanceM:      2,
-		PacketBits:     800,
 	}
 	clean := TagBER(base)
 	if clean < 0.001 || clean > 0.05 {
@@ -125,7 +124,6 @@ func TestFreeRiderMoreFragile(t *testing.T) {
 		Wall:           channel.Drywall,
 		BackscatterBER: 0.002,
 		DistanceM:      3,
-		PacketBits:     800,
 	}
 	cfg.System = Hitchhike
 	h := TagBER(cfg)
@@ -145,7 +143,6 @@ func TestFig15ThroughputShape(t *testing.T) {
 		Wall:           channel.Drywall,
 		BackscatterBER: 0.002,
 		DistanceM:      4,
-		PacketBits:     tr.PayloadSymbols,
 	}
 	cfg.System = Hitchhike
 	hh := TagThroughputKbps(cfg, tr, radio.Protocol80211b)

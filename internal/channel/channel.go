@@ -157,13 +157,6 @@ func (l *BackscatterLink) TagInputDBm(txDBm, dFwd float64) float64 {
 	return txDBm - l.Forward.PathLossDB(dFwd)
 }
 
-// NoiseFloorDBm returns the thermal noise floor for a receiver of the
-// given bandwidth (Hz) and noise figure (dB): −174 dBm/Hz + 10·log10(BW)
-// + NF.
-func NoiseFloorDBm(bandwidthHz, noiseFigureDB float64) float64 {
-	return -174 + 10*math.Log10(bandwidthHz) + noiseFigureDB
-}
-
 // AWGN adds complex white Gaussian noise to iq in place so the resulting
 // per-sample SNR is snrDB relative to the signal's current mean power.
 // It returns iq. A nil rng uses math/rand's global source; pass a seeded
@@ -185,11 +178,4 @@ func AWGN(iq []complex128, snrDB float64, rng *rand.Rand) []complex128 {
 		iq[i] += complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
 	}
 	return iq
-}
-
-// ScaleToPower scales iq in place so its mean power corresponds to the
-// given received power in dBm (1 mW ↔ unit mean power under the
-// simulator's normalized impedance convention).
-func ScaleToPower(iq []complex128, dbm float64) []complex128 {
-	return dsp.NormalizePower(iq, dsp.DBmToWatts(dbm)*1e3)
 }

@@ -129,17 +129,6 @@ func TestBackscatterLinkBudget(t *testing.T) {
 	}
 }
 
-func TestNoiseFloor(t *testing.T) {
-	// 20 MHz, 7 dB NF → ≈ −94 dBm.
-	if got := NoiseFloorDBm(20e6, 7); math.Abs(got+94) > 0.1 {
-		t.Fatalf("20 MHz floor = %v", got)
-	}
-	// 1 MHz BLE → ≈ −107 dBm.
-	if got := NoiseFloorDBm(1e6, 7); math.Abs(got+107) > 0.1 {
-		t.Fatalf("1 MHz floor = %v", got)
-	}
-}
-
 func TestAWGNSetsSNR(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 50000
@@ -167,18 +156,6 @@ func TestAWGNGlobalSource(t *testing.T) {
 	AWGN(iq, 20, nil) // must not panic with nil rng
 	if dsp.Power(iq) == 1 {
 		t.Fatal("noise not added")
-	}
-}
-
-func TestScaleToPower(t *testing.T) {
-	iq := []complex128{2, 2i, -2, -2i}
-	ScaleToPower(iq, 0) // 0 dBm ↔ mean power 1
-	if p := dsp.Power(iq); math.Abs(p-1) > 1e-9 {
-		t.Fatalf("power = %v, want 1", p)
-	}
-	ScaleToPower(iq, -30) // −30 dBm ↔ 1e-3
-	if p := dsp.Power(iq); math.Abs(p-1e-3) > 1e-12 {
-		t.Fatalf("power = %v, want 1e-3", p)
 	}
 }
 
@@ -233,19 +210,5 @@ func TestMultipathApply(t *testing.T) {
 	e := (&Multipath{}).Apply(in)
 	if e[0] != 1 {
 		t.Fatal("empty-channel copy wrong")
-	}
-}
-
-func TestMultipathCoherenceBandwidth(t *testing.T) {
-	// A single tap has infinite coherence bandwidth.
-	if !math.IsInf((&Multipath{Taps: []complex128{1}}).CoherenceBandwidthHz(20e6), 1) {
-		t.Fatal("flat channel should have infinite coherence bandwidth")
-	}
-	// Longer spread → smaller coherence bandwidth.
-	rng := rand.New(rand.NewSource(4))
-	short := NewIndoorMultipath(rng, 25e-9, 20e6)
-	long := NewIndoorMultipath(rng, 200e-9, 20e6)
-	if !(long.CoherenceBandwidthHz(20e6) < short.CoherenceBandwidthHz(20e6)) {
-		t.Fatal("coherence bandwidth not decreasing with delay spread")
 	}
 }

@@ -120,13 +120,3 @@ func (p PhaseDrift) At(t time.Duration) float64 {
 func (p PhaseDrift) Apply(c Coeff, t time.Duration) Coeff {
 	return c.Rotated(p.At(t))
 }
-
-// ApplyCoeff multiplies iq in place by the coefficient — the waveform-
-// domain counterpart of folding GainDB into a link budget.
-func ApplyCoeff(iq []complex128, c Coeff) []complex128 {
-	h := c.H()
-	for i := range iq {
-		iq[i] *= h
-	}
-	return iq
-}

@@ -97,11 +97,3 @@ func TestPhaseDriftDeterministic(t *testing.T) {
 		t.Errorf("At(5ms) = %v, want %v", got, want)
 	}
 }
-
-func TestApplyCoeff(t *testing.T) {
-	iq := []complex128{1, 1i, -1}
-	ApplyCoeff(iq, Coeff{GainDB: -6.0205999132796239, PhaseRad: 0}) // ≈ ×0.5
-	if math.Abs(real(iq[0])-0.5) > 1e-9 || math.Abs(imag(iq[1])-0.5) > 1e-9 {
-		t.Errorf("ApplyCoeff scaled wrong: %v", iq)
-	}
-}

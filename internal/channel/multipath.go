@@ -86,30 +86,3 @@ func (m *Multipath) ApplyInto(dst, iq []complex128) []complex128 {
 	}
 	return out
 }
-
-// CoherenceBandwidthHz estimates the channel's coherence bandwidth as
-// 1/(5·RMS delay spread) from the tap profile, at the given sample rate.
-func (m *Multipath) CoherenceBandwidthHz(rate float64) float64 {
-	var p, mean float64
-	for d, tap := range m.Taps {
-		w := real(tap)*real(tap) + imag(tap)*imag(tap)
-		p += w
-		mean += w * float64(d)
-	}
-	if p == 0 {
-		return math.Inf(1)
-	}
-	mean /= p
-	var variance float64
-	for d, tap := range m.Taps {
-		w := real(tap)*real(tap) + imag(tap)*imag(tap)
-		dd := float64(d) - mean
-		variance += w * dd * dd
-	}
-	variance /= p
-	rms := math.Sqrt(variance) / rate
-	if rms <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / (5 * rms)
-}

@@ -20,16 +20,12 @@ const (
 	TxPowerDBm = 30
 	// TagDistanceM is the excitation→tag distance (0.8 m).
 	TagDistanceM = 0.8
-	// TagSensitivityDBm is the rectifier/harvester sensitivity (−13 dBm).
-	TagSensitivityDBm = -13
 	// RectifierThresholdV is the identification output threshold (0.15 V).
 	RectifierThresholdV = 0.15
 )
 
 // ReceiverParams models one protocol's commodity backscatter receiver.
 type ReceiverParams struct {
-	// Protocol served.
-	Protocol radio.Protocol
 	// SensitivityDBm is the weakest backscatter RSSI the receiver still
 	// synchronizes to. Calibrated so the LoS ranges land at the paper's
 	// 28 m (WiFi), 22 m (ZigBee) and 20 m (BLE).
@@ -37,17 +33,15 @@ type ReceiverParams struct {
 	// EdgeSNRdB is the effective decision SNR at sensitivity: the BER
 	// curves are evaluated at RSSI − Sensitivity + EdgeSNR.
 	EdgeSNRdB float64
-	// BandwidthHz of the channel filter (sets the noise floor).
-	BandwidthHz float64
 }
 
 // Receivers returns the calibrated receiver parameters.
 func Receivers() map[radio.Protocol]ReceiverParams {
 	return map[radio.Protocol]ReceiverParams{
-		radio.Protocol80211b: {radio.Protocol80211b, -85.1, 1.5, 20e6},
-		radio.Protocol80211n: {radio.Protocol80211n, -85.1, 4.0, 20e6},
-		radio.ProtocolBLE:    {radio.ProtocolBLE, -82.2, 7.0, 1e6},
-		radio.ProtocolZigBee: {radio.ProtocolZigBee, -83.0, 1.0, 2e6},
+		radio.Protocol80211b: {-85.1, 1.5},
+		radio.Protocol80211n: {-85.1, 4.0},
+		radio.ProtocolBLE:    {-82.2, 7.0},
+		radio.ProtocolZigBee: {-83.0, 1.0},
 	}
 }
 

@@ -95,15 +95,6 @@ func BenchmarkSlidingNormCorrInto(b *testing.B) {
 	}
 }
 
-func BenchmarkUpsampleHoldInto(b *testing.B) {
-	x := randomIQ(512, 12)
-	dst := make([]complex128, len(x)*8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		UpsampleHoldInto(dst, x, 8)
-	}
-}
-
 func BenchmarkRotateZeroFreq(b *testing.B) {
 	x := randomIQ(4096, 13)
 	b.ReportAllocs()

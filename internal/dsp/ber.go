@@ -7,27 +7,6 @@ func Q(x float64) float64 {
 	return 0.5 * math.Erfc(x/math.Sqrt2)
 }
 
-// QInv returns the inverse of Q via bisection on the monotone Q function.
-// It is used to invert BER targets into SNR requirements.
-func QInv(p float64) float64 {
-	switch {
-	case p >= 0.5:
-		return 0
-	case p <= 0:
-		return math.Inf(1)
-	}
-	lo, hi := 0.0, 40.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if Q(mid) > p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // BERBPSK returns the bit error rate of coherent BPSK at the given Eb/N0
 // (linear, not dB): Q(sqrt(2*EbN0)).
 func BERBPSK(ebn0 float64) float64 {
@@ -44,36 +23,6 @@ func BERDBPSK(ebn0 float64) float64 {
 		return 0.5
 	}
 	return 0.5 * math.Exp(-ebn0)
-}
-
-// BERDQPSK returns the standard approximation for differentially
-// detected QPSK (802.11b 2 Mbps): Q(sqrt(2(2−√2)·EbN0)) ≈
-// Q(sqrt(1.1716·EbN0)), i.e. a 10·log10(2/1.1716) ≈ 2.32 dB
-// differential-detection penalty relative to coherent QPSK's
-// Q(sqrt(2·EbN0)). (An earlier revision applied an ad-hoc 2 dB penalty,
-// Q(sqrt(2·EbN0/10^0.2)), understating the BER across the waterfall.)
-func BERDQPSK(ebn0 float64) float64 {
-	if ebn0 <= 0 {
-		return 0.5
-	}
-	return Q(math.Sqrt(2 * (2 - math.Sqrt2) * ebn0))
-}
-
-// BERQPSK returns the bit error rate of coherent Gray-coded QPSK, identical
-// to BPSK per bit.
-func BERQPSK(ebn0 float64) float64 { return BERBPSK(ebn0) }
-
-// BER16QAM returns the bit error rate of coherent Gray-coded 16-QAM:
-// (3/4)*Q(sqrt(4*EbN0/5)) (nearest-neighbour approximation).
-func BER16QAM(ebn0 float64) float64 {
-	if ebn0 <= 0 {
-		return 0.5
-	}
-	b := 0.75 * Q(math.Sqrt(4*ebn0/5))
-	if b > 0.5 {
-		return 0.5
-	}
-	return b
 }
 
 // BERFSK returns the bit error rate of non-coherent binary FSK:

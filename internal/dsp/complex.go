@@ -20,35 +20,6 @@ func Scale(x []complex128, k complex128) []complex128 {
 	return x
 }
 
-// Add accumulates src into dst element-wise. The shorter length wins.
-// It returns the number of samples accumulated.
-func Add(dst, src []complex128) int {
-	n := len(dst)
-	if len(src) < n {
-		n = len(src)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] += src[i]
-	}
-	return n
-}
-
-// AddAt accumulates src into dst starting at sample offset off, clipping to
-// the bounds of dst. Samples of src that fall outside dst are dropped.
-// It returns the number of samples accumulated.
-func AddAt(dst, src []complex128, off int) int {
-	if off >= len(dst) {
-		return 0
-	}
-	if off < 0 {
-		if -off >= len(src) {
-			return 0
-		}
-		return Add(dst, src[-off:])
-	}
-	return Add(dst[off:], src)
-}
-
 // Energy returns the total energy sum |x[i]|^2 of the signal.
 func Energy(x []complex128) float64 {
 	var e float64
@@ -65,23 +36,6 @@ func Power(x []complex128) float64 {
 		return 0
 	}
 	return Energy(x) / float64(len(x))
-}
-
-// RMS returns the root-mean-square amplitude of x.
-func RMS(x []complex128) float64 {
-	return math.Sqrt(Power(x))
-}
-
-// PeakAbs returns the maximum |x[i]| over the signal.
-func PeakAbs(x []complex128) float64 {
-	var p float64
-	for _, v := range x {
-		a := cmplxAbs(v)
-		if a > p {
-			p = a
-		}
-	}
-	return p
 }
 
 func cmplxAbs(v complex128) float64 {
@@ -104,39 +58,11 @@ func EnvelopeInto(dst []float64, x []complex128) []float64 {
 	return dst
 }
 
-// NormalizePower scales x in place so its mean power equals target.
-// A zero-power signal is returned unchanged.
-func NormalizePower(x []complex128, target float64) []complex128 {
-	p := Power(x)
-	if p <= 0 {
-		return x
-	}
-	return Scale(x, complex(math.Sqrt(target/p), 0))
-}
-
-// DB10 converts a power ratio to decibels (10*log10).
-func DB10(ratio float64) float64 { return 10 * math.Log10(ratio) }
-
-// DB20 converts an amplitude ratio to decibels (20*log10).
-func DB20(ratio float64) float64 { return 20 * math.Log10(ratio) }
-
 // FromDB10 converts decibels to a power ratio.
 func FromDB10(db float64) float64 { return math.Pow(10, db/10) }
 
-// FromDB20 converts decibels to an amplitude ratio.
-func FromDB20(db float64) float64 { return math.Pow(10, db/20) }
-
 // DBmToWatts converts a power level in dBm to watts.
 func DBmToWatts(dbm float64) float64 { return math.Pow(10, (dbm-30)/10) }
-
-// WattsToDBm converts a power level in watts to dBm. Zero or negative power
-// maps to -inf.
-func WattsToDBm(w float64) float64 {
-	if w <= 0 {
-		return math.Inf(-1)
-	}
-	return 10*math.Log10(w) + 30
-}
 
 // Rotate applies a continuous phase ramp exp(j*2π*freq*i/rate + j*phase0)
 // to x in place and returns x. It is the complex mixer used for frequency
@@ -196,26 +122,6 @@ func PhaseShift(x []complex128, theta float64) []complex128 {
 	return Scale(x, complex(math.Cos(theta), math.Sin(theta)))
 }
 
-// Conj conjugates x in place and returns x.
-func Conj(x []complex128) []complex128 {
-	for i, v := range x {
-		x[i] = complex(real(v), -imag(v))
-	}
-	return x
-}
-
-// Mean returns the complex mean of x, or 0 for an empty slice.
-func Mean(x []complex128) complex128 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s complex128
-	for _, v := range x {
-		s += v
-	}
-	return s / complex(float64(len(x)), 0)
-}
-
 // MeanFloat returns the arithmetic mean of x, or 0 for an empty slice.
 func MeanFloat(x []float64) float64 {
 	if len(x) == 0 {
@@ -247,23 +153,6 @@ func RemoveDC(x []float64) []float64 {
 	m := MeanFloat(x)
 	for i := range x {
 		x[i] -= m
-	}
-	return x
-}
-
-// NormalizeFloat scales x in place to unit RMS. A zero signal is returned
-// unchanged.
-func NormalizeFloat(x []float64) []float64 {
-	var e float64
-	for _, v := range x {
-		e += v * v
-	}
-	if e == 0 {
-		return x
-	}
-	k := 1 / math.Sqrt(e/float64(len(x)))
-	for i := range x {
-		x[i] *= k
 	}
 	return x
 }

@@ -113,17 +113,3 @@ func MaxFloat(x []float64) (float64, int) {
 	}
 	return best, idx
 }
-
-// ArgMaxAbs returns the index of the sample of x with the largest
-// magnitude, or -1 for an empty slice.
-func ArgMaxAbs(x []complex128) int {
-	idx := -1
-	var best float64
-	for i, v := range x {
-		a := real(v)*real(v) + imag(v)*imag(v)
-		if idx < 0 || a > best {
-			best, idx = a, i
-		}
-	}
-	return idx
-}

@@ -90,17 +90,6 @@ func NextPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// FFTShift reorders spectrum bins so DC sits in the middle, matching the
-// conventional textbook spectrum layout. It returns a new slice.
-func FFTShift(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	h := (n + 1) / 2
-	copy(out, x[h:])
-	copy(out[n-h:], x[:h])
-	return out
-}
-
 // SpectrumPower computes the power spectrum |FFT(x)|^2/N of x zero-padded to
 // a power of two. It is used by tests and diagnostics, not the hot path.
 func SpectrumPower(x []complex128) []float64 {

@@ -301,13 +301,6 @@ func TestEnvelopeIntoMatches(t *testing.T) {
 
 func TestUpsampleHoldIntoMatches(t *testing.T) {
 	x := randomIQ(33, 13)
-	want := UpsampleHold(x, 7)
-	got := UpsampleHoldInto(make([]complex128, len(x)*7), x, 7)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d: %v vs %v", i, got[i], want[i])
-		}
-	}
 	xf := make([]float64, len(x))
 	for i, v := range x {
 		xf[i] = real(v)

@@ -219,53 +219,6 @@ func (f *FIR) edgeTap(x []complex128, i, delay int) complex128 {
 	return complex(accRe, accIm)
 }
 
-// MovingAverage smooths x with a boxcar of width w (clamped to >= 1),
-// returning a new slice of the same length. It is used for simple envelope
-// post-detection filtering.
-func MovingAverage(x []float64, w int) []float64 {
-	if w < 1 {
-		w = 1
-	}
-	out := make([]float64, len(x))
-	var acc float64
-	for i := range x {
-		acc += x[i]
-		if i >= w {
-			acc -= x[i-w]
-		}
-		n := w
-		if i+1 < w {
-			n = i + 1
-		}
-		out[i] = acc / float64(n)
-	}
-	return out
-}
-
-// UpsampleHold repeats each sample of symbols sps times (zero-order hold).
-func UpsampleHold(symbols []complex128, sps int) []complex128 {
-	if sps < 1 {
-		sps = 1
-	}
-	return UpsampleHoldInto(make([]complex128, len(symbols)*sps), symbols, sps)
-}
-
-// UpsampleHoldInto writes the zero-order hold of symbols into dst (which
-// must have len(symbols)*sps capacity) and returns the filled slice.
-func UpsampleHoldInto(dst, symbols []complex128, sps int) []complex128 {
-	if sps < 1 {
-		sps = 1
-	}
-	dst = dst[:len(symbols)*sps]
-	for i, s := range symbols {
-		run := dst[i*sps : (i+1)*sps]
-		for k := range run {
-			run[k] = s
-		}
-	}
-	return dst
-}
-
 // UpsampleHoldFloat repeats each sample of x sps times.
 func UpsampleHoldFloat(x []float64, sps int) []float64 {
 	if sps < 1 {

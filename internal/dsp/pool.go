@@ -100,12 +100,3 @@ func GrowFloat(buf []float64, n int) []float64 {
 	}
 	return make([]float64, n)
 }
-
-// GrowBytes returns buf resized to length n, reallocating only when the
-// capacity is insufficient.
-func GrowBytes(buf []byte, n int) []byte {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]byte, n)
-}

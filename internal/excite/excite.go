@@ -21,10 +21,6 @@ type Source struct {
 	PacketRate float64
 	// PacketDuration is the on-air time per packet.
 	PacketDuration time.Duration
-	// CenterFreqHz is the carrier center frequency (e.g. 2.417e9).
-	CenterFreqHz float64
-	// BandwidthHz is the occupied bandwidth.
-	BandwidthHz float64
 	// Period and OnFraction duty-cycle the source (Figure 18a): packets
 	// are only emitted during the first OnFraction of each Period.
 	// A zero Period means always on.
@@ -56,15 +52,6 @@ func (s Source) ActiveAt(t time.Duration) bool {
 	return phase < time.Duration(float64(s.Period)*s.OnFraction)
 }
 
-// OverlapsFreq reports whether two sources' bands intersect.
-func (s Source) OverlapsFreq(o Source) bool {
-	lo1 := s.CenterFreqHz - s.BandwidthHz/2
-	hi1 := s.CenterFreqHz + s.BandwidthHz/2
-	lo2 := o.CenterFreqHz - o.BandwidthHz/2
-	hi2 := o.CenterFreqHz + o.BandwidthHz/2
-	return lo1 < hi2 && lo2 < hi1
-}
-
 // Paper's Figure 16 setups.
 
 // NewWiFi11nSource returns the 802.11n excitation of Figure 16: 2.417
@@ -74,8 +61,6 @@ func NewWiFi11nSource() Source {
 		Protocol:       radio.Protocol80211n,
 		PacketRate:     2000,
 		PacketDuration: 406 * time.Microsecond, // 300 B at MCS0 + preamble
-		CenterFreqHz:   2.417e9,
-		BandwidthHz:    20e6,
 	}
 }
 
@@ -86,8 +71,6 @@ func NewBLEAdvSource() Source {
 		Protocol:       radio.ProtocolBLE,
 		PacketRate:     34,
 		PacketDuration: 336 * time.Microsecond,
-		CenterFreqHz:   2.432e9,
-		BandwidthHz:    2e6,
 	}
 }
 
@@ -98,8 +81,6 @@ func NewZigBeeSource() Source {
 		Protocol:       radio.ProtocolZigBee,
 		PacketRate:     20,
 		PacketDuration: 6624 * time.Microsecond,
-		CenterFreqHz:   2.415e9,
-		BandwidthHz:    2e6,
 	}
 }
 
@@ -117,11 +98,6 @@ type Event struct {
 
 // End returns the event's end time.
 func (e Event) End() time.Duration { return e.Start + e.Duration }
-
-// Overlaps reports whether two events intersect in time.
-func (e Event) Overlaps(o Event) bool {
-	return e.Start < o.End() && o.Start < e.End()
-}
 
 // Timeline generates span worth of Poisson packet arrivals from the
 // sources, honoring duty-cycle windows, sorted by start time.

@@ -49,18 +49,6 @@ func TestActiveAt(t *testing.T) {
 	}
 }
 
-func TestOverlapsFreq(t *testing.T) {
-	wifi := NewWiFi11nSource()  // 2.417 GHz ± 10 MHz
-	zig := NewZigBeeSource()    // 2.415 GHz ± 1 MHz — inside the WiFi band
-	bleAdj := NewBLEAdvSource() // 2.432 GHz ± 1 MHz — outside
-	if !wifi.OverlapsFreq(zig) {
-		t.Fatal("ZigBee at 2.415 GHz overlaps 20 MHz WiFi at 2.417 GHz")
-	}
-	if wifi.OverlapsFreq(bleAdj) {
-		t.Fatal("BLE at 2.432 GHz is outside the 2.407–2.427 GHz WiFi band")
-	}
-}
-
 func TestTimelineRates(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	src := []Source{NewWiFi11nSource(), NewBLEAdvSource()}
@@ -163,14 +151,6 @@ func TestExpectedCollisionLossMatchesSimulation(t *testing.T) {
 
 func TestEventHelpers(t *testing.T) {
 	a := Event{Start: 0, Duration: 10 * time.Millisecond}
-	b := Event{Start: 5 * time.Millisecond, Duration: 10 * time.Millisecond}
-	c := Event{Start: 20 * time.Millisecond, Duration: time.Millisecond}
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Fatal("a and b overlap")
-	}
-	if a.Overlaps(c) {
-		t.Fatal("a and c do not overlap")
-	}
 	if a.End() != 10*time.Millisecond {
 		t.Fatal("End wrong")
 	}
@@ -207,14 +187,6 @@ func TestScenarioLibrary(t *testing.T) {
 		if d := s.TotalDuty(); d <= 0 || d > 1 {
 			t.Fatalf("%s duty = %v", s.Name, d)
 		}
-		mix := s.ProtocolMix()
-		var total float64
-		for _, f := range mix {
-			total += f
-		}
-		if math.Abs(total-1) > 1e-9 {
-			t.Fatalf("%s mix sums to %v", s.Name, total)
-		}
 	}
 }
 
@@ -236,11 +208,5 @@ func TestScenarioOfficeDenserThanHome(t *testing.T) {
 	home, _ := FindScenario("home")
 	if !(office.TotalDuty() > home.TotalDuty()) {
 		t.Fatalf("office duty %v should exceed home %v", office.TotalDuty(), home.TotalDuty())
-	}
-}
-
-func TestScenarioEmptyMix(t *testing.T) {
-	if got := (Scenario{}).ProtocolMix(); len(got) != 0 {
-		t.Fatal("empty scenario should have empty mix")
 	}
 }

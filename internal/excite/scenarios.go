@@ -37,8 +37,6 @@ func Scenarios() []Scenario {
 		Protocol:       radio.Protocol80211b,
 		PacketRate:     120,
 		PacketDuration: 2392 * time.Microsecond,
-		CenterFreqHz:   2.412e9,
-		BandwidthHz:    22e6,
 	}
 
 	ble := NewBLEAdvSource()
@@ -97,20 +95,4 @@ func (s Scenario) TotalDuty() float64 {
 		return 1
 	}
 	return d
-}
-
-// ProtocolMix returns each protocol's share of total packet rate.
-func (s Scenario) ProtocolMix() map[radio.Protocol]float64 {
-	var total float64
-	for _, src := range s.Sources {
-		total += src.PacketRate
-	}
-	out := map[radio.Protocol]float64{}
-	if total == 0 {
-		return out
-	}
-	for _, src := range s.Sources {
-		out[src.Protocol] += src.PacketRate / total
-	}
-	return out
 }

@@ -32,8 +32,6 @@ func newPacketSets(k, n int) []packetSet {
 
 func (s packetSet) set(i int) { s[uint(i)/64] |= 1 << (uint(i) % 64) }
 
-func (s packetSet) has(i int) bool { return s[uint(i)/64]&(1<<(uint(i)%64)) != 0 }
-
 // wakeSchedule is one energy profile's capacitor trajectory over the
 // run's timeline: the packets at which a tag of that profile is powered,
 // and how many discharge rounds it starts.

@@ -14,8 +14,6 @@ const (
 	DFFPerAdder = 19
 	// AGLN250DFFs is the flip-flop capacity of the Igloo nano AGLN250.
 	AGLN250DFFs = 6144
-	// AGLN250StorageBits is its combined code+data storage (36 kb).
-	AGLN250StorageBits = 36 * 1024
 	// QuantizedDFFPerTap is the empirical flip-flop density of the ±1
 	// quantized correlator, calibrated from the paper's measured 2,860
 	// DFFs for four 120-tap templates (2860 / 480 taps).
@@ -181,8 +179,3 @@ func (p PowerBreakdown) AtADCRate(rateMsps float64) PowerBreakdown {
 	out.ADCmW = 260 * rateMsps / 20
 	return out
 }
-
-// ICBasebandPowerMW is the Libero-simulated power of an IC baseband
-// implementation of the full tag pipeline (§3): 1.89 mW on the AGLN250's
-// 130 nm process.
-const ICBasebandPowerMW = 1.89

@@ -112,9 +112,3 @@ func TestPowerBreakdownTable3(t *testing.T) {
 		t.Fatal("non-ADC parts must not change")
 	}
 }
-
-func TestICBasebandConstant(t *testing.T) {
-	if ICBasebandPowerMW != 1.89 {
-		t.Fatal("IC baseband power should match the Libero simulation")
-	}
-}

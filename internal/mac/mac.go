@@ -1,86 +1,21 @@
-// Package mac builds and parses the link-layer frames the excitation
-// radios actually transmit: IEEE 802.11 data frames, IEEE 802.15.4 data
-// frames, and BLE advertising PDUs. Overlay modulation's "productive
-// data" is real traffic — these framers let experiments and examples
-// carry genuine MAC frames through the reference units and validate the
-// frame check sequences end to end.
+// Package mac builds and parses IEEE 802.15.4 data frames. Overlay
+// modulation's "productive data" is real traffic: the framer lets tests
+// carry a genuine MAC frame through the overlay and validate its frame
+// check sequence end to end.
 package mac
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"multiscatter/internal/radio"
 )
-
-// Addr48 is a 48-bit MAC address (802.11 and BLE).
-type Addr48 [6]byte
-
-// String formats the address conventionally.
-func (a Addr48) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
-}
 
 // ErrTooShort is returned when a frame cannot contain its fixed fields.
 var ErrTooShort = errors.New("mac: frame too short")
 
 // ErrFCS is returned when the frame check sequence does not verify.
 var ErrFCS = errors.New("mac: FCS mismatch")
-
-// ---------------------------------------------------------------- 802.11
-
-// WiFiFrame is a minimal 802.11 data frame.
-type WiFiFrame struct {
-	// Receiver, Transmitter and Destination addresses (Address 1–3).
-	Receiver, Transmitter, Destination Addr48
-	// Sequence number (12 bits).
-	Sequence uint16
-	// Payload (LLC/SNAP + data, opaque here).
-	Payload []byte
-}
-
-// wifiDataFC is the frame-control word for a plain data frame
-// (type = data, subtype = 0, no flags).
-const wifiDataFC = 0x0008
-
-// Marshal serializes the frame with its CRC-32 FCS.
-func (f *WiFiFrame) Marshal() []byte {
-	out := make([]byte, 0, 24+len(f.Payload)+4)
-	var hdr [24]byte
-	binary.LittleEndian.PutUint16(hdr[0:], wifiDataFC)
-	binary.LittleEndian.PutUint16(hdr[2:], 0) // duration
-	copy(hdr[4:], f.Receiver[:])
-	copy(hdr[10:], f.Transmitter[:])
-	copy(hdr[16:], f.Destination[:])
-	binary.LittleEndian.PutUint16(hdr[22:], f.Sequence<<4)
-	out = append(out, hdr[:]...)
-	out = append(out, f.Payload...)
-	fcs := radio.CRC32IEEE(out)
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], fcs)
-	return append(out, tail[:]...)
-}
-
-// ParseWiFi parses and FCS-verifies an 802.11 data frame.
-func ParseWiFi(b []byte) (*WiFiFrame, error) {
-	if len(b) < 28 {
-		return nil, ErrTooShort
-	}
-	body, tail := b[:len(b)-4], b[len(b)-4:]
-	if radio.CRC32IEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return nil, ErrFCS
-	}
-	f := &WiFiFrame{}
-	copy(f.Receiver[:], body[4:10])
-	copy(f.Transmitter[:], body[10:16])
-	copy(f.Destination[:], body[16:22])
-	f.Sequence = binary.LittleEndian.Uint16(body[22:24]) >> 4
-	f.Payload = append([]byte(nil), body[24:]...)
-	return f, nil
-}
-
-// -------------------------------------------------------------- 802.15.4
 
 // ZigBeeFrame is a minimal 802.15.4 data frame with short addressing.
 type ZigBeeFrame struct {
@@ -129,56 +64,6 @@ func ParseZigBee(b []byte) (*ZigBeeFrame, error) {
 		Payload:     append([]byte(nil), body[9:]...),
 	}
 	return f, nil
-}
-
-// ------------------------------------------------------------------- BLE
-
-// AdvPDUType is a BLE advertising PDU type.
-type AdvPDUType byte
-
-// Advertising PDU types (Core Spec Vol 6 Part B §2.3).
-const (
-	AdvInd        AdvPDUType = 0x0
-	AdvNonconnInd AdvPDUType = 0x2
-	AdvScanInd    AdvPDUType = 0x6
-)
-
-// AdvPDU is a BLE advertising-channel PDU.
-type AdvPDU struct {
-	// Type of the advertisement.
-	Type AdvPDUType
-	// Advertiser address (AdvA).
-	Advertiser Addr48
-	// Data is the AdvData payload (≤ 31 bytes).
-	Data []byte
-}
-
-// Marshal serializes the PDU (header + AdvA + AdvData). The CRC is added
-// at the PHY layer.
-func (p *AdvPDU) Marshal() ([]byte, error) {
-	if len(p.Data) > 31 {
-		return nil, fmt.Errorf("mac: AdvData %d bytes exceeds 31", len(p.Data))
-	}
-	out := make([]byte, 0, 2+6+len(p.Data))
-	out = append(out, byte(p.Type)&0x0F)
-	out = append(out, byte(6+len(p.Data)))
-	out = append(out, p.Advertiser[:]...)
-	return append(out, p.Data...), nil
-}
-
-// ParseAdv parses an advertising PDU.
-func ParseAdv(b []byte) (*AdvPDU, error) {
-	if len(b) < 8 {
-		return nil, ErrTooShort
-	}
-	length := int(b[1])
-	if length < 6 || 2+length > len(b) {
-		return nil, fmt.Errorf("mac: PDU length %d inconsistent with %d bytes", length, len(b))
-	}
-	p := &AdvPDU{Type: AdvPDUType(b[0] & 0x0F)}
-	copy(p.Advertiser[:], b[2:8])
-	p.Data = append([]byte(nil), b[8:2+length]...)
-	return p, nil
 }
 
 // ProductiveBits packs a marshalled frame into the per-sequence

@@ -3,47 +3,11 @@ package mac
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
-	"testing/quick"
 
 	"multiscatter/internal/overlay"
 	"multiscatter/internal/radio"
 )
-
-func TestWiFiFrameRoundTrip(t *testing.T) {
-	f := &WiFiFrame{
-		Receiver:    Addr48{0x00, 0x11, 0x22, 0x33, 0x44, 0x55},
-		Transmitter: Addr48{0xAA, 0xBB, 0xCC, 0xDD, 0xEE, 0xFF},
-		Destination: Addr48{0x01, 0x02, 0x03, 0x04, 0x05, 0x06},
-		Sequence:    1234,
-		Payload:     []byte("hello backscatter"),
-	}
-	b := f.Marshal()
-	got, err := ParseWiFi(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Receiver != f.Receiver || got.Transmitter != f.Transmitter ||
-		got.Destination != f.Destination || got.Sequence != f.Sequence {
-		t.Fatalf("header mismatch: %+v", got)
-	}
-	if !bytes.Equal(got.Payload, f.Payload) {
-		t.Fatal("payload mismatch")
-	}
-}
-
-func TestWiFiFrameFCS(t *testing.T) {
-	f := &WiFiFrame{Payload: []byte{1, 2, 3}}
-	b := f.Marshal()
-	b[30] ^= 0x01
-	if _, err := ParseWiFi(b); !errors.Is(err, ErrFCS) {
-		t.Fatalf("err = %v, want ErrFCS", err)
-	}
-	if _, err := ParseWiFi(b[:10]); !errors.Is(err, ErrTooShort) {
-		t.Fatalf("err = %v, want ErrTooShort", err)
-	}
-}
 
 func TestZigBeeFrameRoundTrip(t *testing.T) {
 	f := &ZigBeeFrame{
@@ -71,60 +35,6 @@ func TestZigBeeFrameRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseZigBee(b[:4]); !errors.Is(err, ErrTooShort) {
 		t.Fatal("short frame accepted")
-	}
-}
-
-func TestAdvPDURoundTrip(t *testing.T) {
-	p := &AdvPDU{
-		Type:       AdvNonconnInd,
-		Advertiser: Addr48{0xC0, 0xFF, 0xEE, 0x00, 0x00, 0x01},
-		Data:       []byte{0x02, 0x01, 0x06}, // flags AD structure
-	}
-	b, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseAdv(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Type != AdvNonconnInd || got.Advertiser != p.Advertiser || !bytes.Equal(got.Data, p.Data) {
-		t.Fatalf("PDU mismatch: %+v", got)
-	}
-	// AdvData too long rejected.
-	p.Data = make([]byte, 32)
-	if _, err := p.Marshal(); err == nil {
-		t.Fatal("oversized AdvData accepted")
-	}
-	if _, err := ParseAdv([]byte{0, 1}); !errors.Is(err, ErrTooShort) {
-		t.Fatal("short PDU accepted")
-	}
-	if _, err := ParseAdv([]byte{0, 60, 0, 0, 0, 0, 0, 0}); err == nil {
-		t.Fatal("inconsistent length accepted")
-	}
-}
-
-func TestAddrString(t *testing.T) {
-	a := Addr48{0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x01}
-	if got := a.String(); got != "de:ad:be:ef:00:01" {
-		t.Fatalf("String = %q", got)
-	}
-	if !strings.Contains(a.String(), ":") {
-		t.Fatal("separator missing")
-	}
-}
-
-func TestPropertyWiFiRoundTrip(t *testing.T) {
-	f := func(payload []byte, seq uint16) bool {
-		if len(payload) > 512 {
-			payload = payload[:512]
-		}
-		frame := &WiFiFrame{Sequence: seq & 0x0FFF, Payload: payload}
-		got, err := ParseWiFi(frame.Marshal())
-		return err == nil && bytes.Equal(got.Payload, payload) && got.Sequence == seq&0x0FFF
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 

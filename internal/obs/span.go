@@ -120,17 +120,6 @@ func (s *Span) SetAttr(key, value string) {
 	s.attrs = append(s.attrs, SpanAttr{Key: key, Value: value})
 }
 
-// Dur returns the span's duration: end−start when closed, elapsed time
-// so far when open, 0 on a nil span.
-func (s *Span) Dur() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.rec.mu.Lock()
-	defer s.rec.mu.Unlock()
-	return s.durLocked(s.rec.clock())
-}
-
 // durLocked computes the duration against now; callers hold rec.mu.
 func (s *Span) durLocked(now time.Time) time.Duration {
 	if !s.end.IsZero() {

@@ -86,7 +86,7 @@ func TestSpanOpenSnapshotAndNil(t *testing.T) {
 	ns := nr.Start("x", nil)
 	ns.End()
 	ns.SetAttr("k", "v")
-	if ns.Dur() != 0 || nr.Snapshot() != nil {
+	if nr.Snapshot() != nil {
 		t.Fatal("nil recorder not inert")
 	}
 	if got := ns.String(); got != "<nil span>" {

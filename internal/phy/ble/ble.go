@@ -276,14 +276,9 @@ func (d *Demodulator) DemodulatePacket(w radio.Waveform, info *FrameInfo) ([]byt
 	return payload, nil
 }
 
-// discriminate converts IQ samples to instantaneous frequency (Hz) via
-// the phase difference of consecutive samples.
-func discriminate(iq []complex128, rate float64) []float64 {
-	return discriminateInto(make([]float64, len(iq)), iq, rate)
-}
-
-// discriminateInto is the zero-alloc form of discriminate; dst must have
-// len(iq) capacity.
+// discriminateInto converts IQ samples to instantaneous frequency (Hz)
+// via the phase difference of consecutive samples, writing them into dst
+// (len(iq) capacity).
 func discriminateInto(dst []float64, iq []complex128, rate float64) []float64 {
 	out := dst[:len(iq)]
 	for i := 1; i < len(iq); i++ {

@@ -669,13 +669,8 @@ func puncturedLen(n int, r CodeRate) int {
 	return kept
 }
 
-// fftOfSymbol strips the guard interval and FFTs the 64-sample core,
-// undoing the modulator's power normalization.
-func fftOfSymbol(sym []complex128) []complex128 {
-	return fftOfSymbolInto(make([]complex128, FFTSize), sym)
-}
-
-// fftOfSymbolInto is the zero-alloc form of fftOfSymbol; bins must have
+// fftOfSymbolInto strips the guard interval and FFTs the 64-sample core
+// into bins, undoing the modulator's power normalization; bins must have
 // FFTSize capacity and is returned filled.
 func fftOfSymbolInto(bins []complex128, sym []complex128) []complex128 {
 	bins = bins[:FFTSize]

@@ -26,10 +26,6 @@ const (
 	ChipRate = 2e6
 	// ChipsPerSymbol is the PN sequence length.
 	ChipsPerSymbol = 32
-	// BitsPerSymbol is the data bits per PN symbol.
-	BitsPerSymbol = 4
-	// SymbolRate is 62.5 ksym/s (250 kbps).
-	SymbolRate = ChipRate / ChipsPerSymbol
 	// SFD is the start-of-frame delimiter byte.
 	SFD = 0xA7
 )

@@ -111,19 +111,3 @@ func CRC16CCITT(data []byte) uint16 {
 	}
 	return crc
 }
-
-// CRC32IEEE computes the IEEE 802.3/802.11 frame check sequence.
-func CRC32IEEE(data []byte) uint32 {
-	crc := ^uint32(0)
-	for _, b := range data {
-		crc ^= uint32(b)
-		for i := 0; i < 8; i++ {
-			if crc&1 != 0 {
-				crc = (crc >> 1) ^ 0xEDB88320
-			} else {
-				crc >>= 1
-			}
-		}
-	}
-	return ^crc
-}

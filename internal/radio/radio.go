@@ -99,9 +99,6 @@ type Packet struct {
 	// Payload bits, MSB-first per byte boundary where byte structure
 	// matters (preambles and headers are added by the PHYs).
 	Payload []byte
-	// Rate is the over-the-air data rate in bits/s used by the PHY
-	// (e.g. 1e6 for 802.11b at 1 Mbps). Zero means the PHY default.
-	Rate float64
 }
 
 // Bits expands the payload into individual bits, LSB-first within each

@@ -60,37 +60,3 @@ func (id *Identifier) Identify(iq []complex128, rate float64, ordered bool) (rad
 	}
 	return id.Matcher.IdentifyBlind(samples)
 }
-
-// DetectStart finds the packet start in an ADC sample stream by the
-// energy-rise rule the FPGA uses to trigger correlation: the first index
-// where the short-window mean exceeds riseFactor times the noise-floor
-// estimate from the stream head. It returns -1 if no rise is found.
-func DetectStart(samples []float64, window int, riseFactor float64) int {
-	if window < 1 {
-		window = 4
-	}
-	if len(samples) < 2*window {
-		return -1
-	}
-	var floor float64
-	for _, v := range samples[:window] {
-		floor += v
-	}
-	floor /= float64(window)
-	if floor <= 0 {
-		floor = 1e-6
-	}
-	var acc float64
-	for i := 0; i < len(samples); i++ {
-		acc += samples[i]
-		if i >= window {
-			acc -= samples[i-window]
-		}
-		if i >= window-1 {
-			if acc/float64(window) >= riseFactor*floor {
-				return i - window + 1
-			}
-		}
-	}
-	return -1
-}

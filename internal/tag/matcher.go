@@ -7,11 +7,6 @@ import (
 
 // MatchConfig parameterizes the identification correlator.
 type MatchConfig struct {
-	// PreprocessFrac is the fraction of the window used as the
-	// preprocessing window L_p for DC removal and normalization; the
-	// remainder is the matching window L_m. The paper's 20 Msps sweet
-	// spot (L_p = 40 of 160 samples) is 0.25, the default.
-	PreprocessFrac float64
 	// Quantized selects ±1 sign correlation (the multiplier-free FPGA
 	// implementation) instead of full-precision normalized correlation.
 	Quantized bool
@@ -21,36 +16,23 @@ type MatchConfig struct {
 	// Order is the ordered-matching test sequence; nil uses the paper's
 	// order (ZigBee, BLE, 802.11b, 802.11n).
 	Order []radio.Protocol
-	// SearchSamples is the timing-alignment search depth: the streaming
-	// correlator computes a score at every sample and takes the peak, so
-	// identification tolerates packet-start uncertainty up to this many
-	// ADC samples (default 8).
-	SearchSamples int
 }
 
 // DefaultThreshold is the acceptance threshold used when no per-protocol
 // threshold is configured.
 const DefaultThreshold = 0.55
 
-func (c MatchConfig) preprocessFrac() float64 {
-	if c.PreprocessFrac <= 0 || c.PreprocessFrac >= 1 {
-		return 0.25
-	}
-	return c.PreprocessFrac
-}
+// searchSamples is the timing-alignment search depth: the streaming
+// correlator computes a score at every sample and takes the peak, so
+// identification tolerates packet-start uncertainty up to this many ADC
+// samples.
+const searchSamples = 8
 
 func (c MatchConfig) order() []radio.Protocol {
 	if len(c.Order) == 0 {
 		return radio.Protocols
 	}
 	return c.Order
-}
-
-func (c MatchConfig) searchSamples() int {
-	if c.SearchSamples <= 0 {
-		return 8
-	}
-	return c.SearchSamples
 }
 
 func (c MatchConfig) threshold(p radio.Protocol) float64 {
@@ -83,7 +65,7 @@ func (m *Matcher) Score(samples []float64, p radio.Protocol) float64 {
 		return 0
 	}
 	best := -1.0
-	for off := 0; off <= m.Cfg.searchSamples(); off++ {
+	for off := 0; off <= searchSamples; off++ {
 		if off >= len(samples) {
 			break
 		}
@@ -119,12 +101,6 @@ func (m *Matcher) scoreAt(samples []float64, t *Template) float64 {
 	defer pool.PutInt8(qx)
 	quantizeSignsInto(qx, x)
 	return dsp.SignCorr(qx, t.Quantized[:len(qx)])
-}
-
-func quantizeSigns(x []float64) []int8 {
-	q := make([]int8, len(x))
-	quantizeSignsInto(q, x)
-	return q
 }
 
 // quantizeSignsInto writes the ±1 sign quantization of x into q

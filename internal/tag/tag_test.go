@@ -216,6 +216,33 @@ func TestScoresSelfHighest(t *testing.T) {
 	}
 }
 
+// TestScoreSearchDepth pins the alignment search at 8 ADC samples: a
+// clean capture that starts up to 8 samples late still scores at least
+// as high as the aligned one.
+func TestScoreSearchDepth(t *testing.T) {
+	const depth = 8
+	fe := NewFrontEnd(20e6)
+	set, err := BuildTemplateSet(fe, BaseWindowUS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMatcher(set, MatchConfig{})
+	for _, p := range radio.Protocols {
+		w, err := PreambleWaveform(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean := fe.Acquire(w.IQ, w.Rate)
+		aligned := m.scoreAt(clean, set.Templates[p])
+		for d := 0; d <= depth; d++ {
+			delayed := append(make([]float64, d), clean...)
+			if got := m.Score(delayed, p); got < aligned {
+				t.Errorf("%v delayed %d samples: score %v below aligned %v", p, d, got, aligned)
+			}
+		}
+	}
+}
+
 func TestIdentifyRejectsNoise(t *testing.T) {
 	// Pure noise must identify as unknown under both policies.
 	id, err := NewIdentifier(IdentifierConfig{ADCRate: 20e6})
@@ -235,38 +262,8 @@ func TestIdentifyRejectsNoise(t *testing.T) {
 	}
 }
 
-func TestDetectStart(t *testing.T) {
-	samples := make([]float64, 200)
-	for i := 120; i < 200; i++ {
-		samples[i] = 0.4
-	}
-	// Add a small noise floor so the rise factor has a reference.
-	for i := 0; i < 120; i++ {
-		samples[i] = 0.01
-	}
-	got := DetectStart(samples, 8, 5)
-	if got < 112 || got > 128 {
-		t.Fatalf("DetectStart = %d, want ≈120", got)
-	}
-	// No rise → -1.
-	flat := make([]float64, 100)
-	for i := range flat {
-		flat[i] = 0.2
-	}
-	if got := DetectStart(flat, 8, 5); got != -1 {
-		t.Fatalf("flat DetectStart = %d", got)
-	}
-	// Too short → -1.
-	if got := DetectStart([]float64{1, 2}, 8, 5); got != -1 {
-		t.Fatalf("short DetectStart = %d", got)
-	}
-}
-
 func TestMatchConfigDefaults(t *testing.T) {
 	var c MatchConfig
-	if c.preprocessFrac() != 0.25 {
-		t.Fatal("default preprocess fraction")
-	}
 	if len(c.order()) != 4 || c.order()[0] != radio.ProtocolZigBee {
 		t.Fatal("default order should be the paper's resilience order")
 	}

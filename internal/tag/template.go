@@ -78,10 +78,16 @@ func PreambleWaveform(p radio.Protocol) (radio.Waveform, error) {
 	}
 }
 
+// preprocessFrac is the fraction of the window used as the
+// preprocessing window L_p for DC removal and normalization; the
+// remainder is the matching window L_m. The paper's 20 Msps sweet spot
+// is L_p = 40 of 160 samples.
+const preprocessFrac = 0.25
+
 // BuildTemplate acquires protocol p's clean preamble through fe, splits
 // the windowUS-long window into preprocessing and matching parts per
-// preFrac, and stores the normalized matching window.
-func BuildTemplate(fe *FrontEnd, p radio.Protocol, windowUS, preFrac float64) (*Template, error) {
+// preprocessFrac, and stores the normalized matching window.
+func BuildTemplate(fe *FrontEnd, p radio.Protocol, windowUS float64) (*Template, error) {
 	w, err := PreambleWaveform(p)
 	if err != nil {
 		return nil, err
@@ -94,10 +100,7 @@ func BuildTemplate(fe *FrontEnd, p radio.Protocol, windowUS, preFrac float64) (*
 	if n > len(samples) {
 		n = len(samples)
 	}
-	if preFrac <= 0 || preFrac >= 1 {
-		preFrac = 0.25
-	}
-	lp := int(float64(n) * preFrac)
+	lp := int(float64(n) * preprocessFrac)
 	if lp < 1 {
 		lp = 1
 	}
@@ -167,22 +170,15 @@ type TemplateSet struct {
 	Rate float64
 }
 
-// BuildTemplateSet builds all four templates through fe with the default
-// preprocessing fraction.
+// BuildTemplateSet builds all four templates through fe.
 func BuildTemplateSet(fe *FrontEnd, windowUS float64) (*TemplateSet, error) {
-	return BuildTemplateSetFrac(fe, windowUS, 0.25)
-}
-
-// BuildTemplateSetFrac builds all four templates with an explicit
-// preprocessing fraction.
-func BuildTemplateSetFrac(fe *FrontEnd, windowUS, preFrac float64) (*TemplateSet, error) {
 	set := &TemplateSet{
 		Templates: make(map[radio.Protocol]*Template, 4),
 		WindowUS:  windowUS,
 		Rate:      fe.ADC.Rate,
 	}
 	for _, p := range radio.Protocols {
-		t, err := BuildTemplate(fe, p, windowUS, preFrac)
+		t, err := BuildTemplate(fe, p, windowUS)
 		if err != nil {
 			return nil, err
 		}

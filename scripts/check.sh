@@ -1,6 +1,6 @@
 #!/bin/sh
 # Full verification gate: build, vet, gofmt, race-enabled tests, the
-# benchmark module's own tests, golden replay diff, the fig15/fig16
+# benchmark module's own vet and tests, golden replay diff, the fig15/fig16
 # demos, the docs link check, every fuzz target for 3 s, the msserve
 # end-to-end smoke (race-built server, byte-identical results, graceful
 # drain) and the msbench metrics diff against the committed baseline.
@@ -21,7 +21,8 @@ if [ -n "$unformatted" ]; then
 fi
 echo "== go test -race ./..."
 go test -race ./...
-echo "== msperf module tests (cmd/msperf is its own module)"
+echo "== msperf module vet + tests (cmd/msperf is its own module)"
+(cd cmd/msperf && go vet ./...)
 (cd cmd/msperf && go test ./...)
 echo "== replay-diff (golden trace, serial vs parallel)"
 go test -run TestGoldenTrace -count=1 ./internal/replay
