@@ -49,24 +49,13 @@ func SignCorr(a, b []int8) float64 {
 	return float64(acc) / float64(n)
 }
 
-// SlidingNormCorr computes the normalized correlation of template against
-// every alignment of x, returning a slice of len(x)-len(template)+1 scores
-// (empty if the template does not fit). It is O(n·m); fine for the
-// window sizes used by the tag (≤ 800 samples).
-func SlidingNormCorr(x, template []float64) []float64 {
-	m := len(template)
-	if m == 0 || len(x) < m {
-		return nil
-	}
-	return SlidingNormCorrInto(make([]float64, len(x)-m+1), x, template)
-}
-
-// SlidingNormCorrInto computes the sliding normalized correlation into
-// dst (which must have len(x)-len(template)+1 capacity) and returns the
-// filled slice, or nil if the template does not fit. The per-offset
-// accumulation order matches SlidingNormCorr exactly — the only change is
-// buffer reuse; an incremental energy update would reorder the float
-// summation and perturb gated outputs.
+// SlidingNormCorrInto computes the normalized correlation of template
+// against every alignment of x into dst (which must have
+// len(x)-len(template)+1 capacity) and returns the filled slice, or nil if
+// the template does not fit. A window or template of zero energy scores 0.
+// Each offset sums its window in sample order, O(n·m), fine for the
+// window sizes used by the tag (≤ 800 samples); an incremental energy
+// update would reorder the float summation and perturb gated outputs.
 func SlidingNormCorrInto(dst, x, template []float64) []float64 {
 	m := len(template)
 	if m == 0 || len(x) < m {

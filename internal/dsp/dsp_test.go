@@ -221,7 +221,7 @@ func TestSlidingNormCorrFindsTemplate(t *testing.T) {
 	}
 	const at = 100
 	copy(x[at:], tpl)
-	scores := SlidingNormCorr(x, tpl)
+	scores := SlidingNormCorrInto(make([]float64, len(x)-len(tpl)+1), x, tpl)
 	_, idx := MaxFloat(scores)
 	if idx != at {
 		t.Fatalf("template found at %d, want %d", idx, at)
@@ -392,9 +392,9 @@ func TestRemoveDCAndNormalize(t *testing.T) {
 }
 
 func TestUpsampleHold(t *testing.T) {
-	gotF := UpsampleHoldFloat([]float64{5}, 2)
+	gotF := UpsampleHoldFloatInto(make([]float64, 2), []float64{5}, 2)
 	if len(gotF) != 2 || gotF[0] != 5 || gotF[1] != 5 {
-		t.Fatalf("UpsampleHoldFloat = %v", gotF)
+		t.Fatalf("UpsampleHoldFloatInto = %v", gotF)
 	}
 }
 

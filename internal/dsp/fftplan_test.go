@@ -268,23 +268,41 @@ func TestFIRIntoMatchesLegacy(t *testing.T) {
 	}
 }
 
+// TestSlidingNormCorrIntoMatches checks every offset's score against the
+// normalized correlation summed directly, sample by sample, including a
+// stretch of silence (zero window energy, score 0), a silent template and
+// templates that do not fit.
 func TestSlidingNormCorrIntoMatches(t *testing.T) {
 	rngIQ := randomIQ(300, 5)
 	x := make([]float64, len(rngIQ))
 	for i, v := range rngIQ {
 		x[i] = real(v)
 	}
-	tmpl := x[40:100:100]
-	want := SlidingNormCorr(x, tmpl)
-	dst := make([]float64, len(want))
-	got := SlidingNormCorrInto(dst, x, tmpl)
-	if len(got) != len(want) {
-		t.Fatalf("length mismatch: %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("offset %d: %v vs %v", i, got[i], want[i])
+	clear(x[200:280])
+	for _, tmpl := range [][]float64{x[40:100:100], x[150:153:153], x[:1:1], make([]float64, 8)} {
+		n := len(x) - len(tmpl) + 1
+		got := SlidingNormCorrInto(make([]float64, n), x, tmpl)
+		if len(got) != n {
+			t.Fatalf("template of %d: %d scores, want %d", len(tmpl), len(got), n)
 		}
+		for off := range n {
+			var dot, ex, et float64
+			for i, v := range tmpl {
+				dot += x[off+i] * v
+				ex += x[off+i] * x[off+i]
+				et += v * v
+			}
+			want := 0.0
+			if ex != 0 && et != 0 {
+				want = dot / math.Sqrt(ex*et)
+			}
+			if got[off] != want {
+				t.Fatalf("template of %d, offset %d: %v, direct sum %v", len(tmpl), off, got[off], want)
+			}
+		}
+	}
+	if SlidingNormCorrInto(make([]float64, 1), x[:10], x[:11]) != nil || SlidingNormCorrInto(nil, x, nil) != nil {
+		t.Fatal("a template that does not fit must give nil")
 	}
 }
 
@@ -299,17 +317,24 @@ func TestEnvelopeIntoMatches(t *testing.T) {
 	}
 }
 
+// TestUpsampleHoldIntoMatches checks every output sample against the input
+// sample it holds, at several rates (sps < 1 holds each sample once).
 func TestUpsampleHoldIntoMatches(t *testing.T) {
 	x := randomIQ(33, 13)
 	xf := make([]float64, len(x))
 	for i, v := range x {
 		xf[i] = real(v)
 	}
-	wantF := UpsampleHoldFloat(xf, 4)
-	gotF := UpsampleHoldFloatInto(make([]float64, len(xf)*4), xf, 4)
-	for i := range wantF {
-		if gotF[i] != wantF[i] {
-			t.Fatalf("float sample %d: %v vs %v", i, gotF[i], wantF[i])
+	for _, sps := range []int{-2, 0, 1, 4, 7} {
+		hold := max(sps, 1)
+		gotF := UpsampleHoldFloatInto(make([]float64, len(xf)*hold), xf, sps)
+		if len(gotF) != len(xf)*hold {
+			t.Fatalf("sps %d: %d samples, want %d", sps, len(gotF), len(xf)*hold)
+		}
+		for i, v := range gotF {
+			if v != xf[i/hold] {
+				t.Fatalf("sps %d, sample %d: %v, want input sample %d = %v", sps, i, v, i/hold, xf[i/hold])
+			}
 		}
 	}
 }

@@ -219,16 +219,9 @@ func (f *FIR) edgeTap(x []complex128, i, delay int) complex128 {
 	return complex(accRe, accIm)
 }
 
-// UpsampleHoldFloat repeats each sample of x sps times.
-func UpsampleHoldFloat(x []float64, sps int) []float64 {
-	if sps < 1 {
-		sps = 1
-	}
-	return UpsampleHoldFloatInto(make([]float64, len(x)*sps), x, sps)
-}
-
 // UpsampleHoldFloatInto writes the zero-order hold of x into dst (which
-// must have len(x)*sps capacity) and returns the filled slice.
+// must have len(x)*sps capacity), each sample repeated sps times (once
+// when sps < 1), and returns the filled slice.
 func UpsampleHoldFloatInto(dst, x []float64, sps int) []float64 {
 	if sps < 1 {
 		sps = 1

@@ -126,12 +126,8 @@ func (c *linkTable) compute(k linkKey) linkEntry {
 	l := c.links[k.protocol]
 	d := c.distanceOf(k.bucket)
 	shadow := l.ShadowDB(sim.SeedRNGAt(c.seed, sim.StreamFleetShadow, k.site()))
-	e := linkEntry{RSSIdBm: l.RSSIAt(d, shadow), InRange: l.InRangeAt(d, shadow)}
-	if e.InRange {
-		_, e.PERTag = l.PERsAt(d, shadow, k.mode, overlay.DefaultTraffic(k.protocol))
-	} else {
-		e.PERTag = 1
-	}
+	e := linkEntry{RSSIdBm: l.RSSIAt(d, shadow), InRange: l.InRangeAt(d, shadow), PERTag: 1}
+	perShadow := shadow
 	if c.phase != nil {
 		// One RNG per site, keyed exactly like StreamFleetShadow, so the
 		// entry stays a pure function of (seed, key) at any worker count.
@@ -139,7 +135,7 @@ func (c *linkTable) compute(k linkKey) linkEntry {
 			sim.SeedRNGAt(c.seed, sim.StreamChannelPhase, k.site()), c.phase.MaxDriftHz)
 		e.PhaseRad = drift.Phi0Rad
 		e.DriftHz = drift.RateHz
-		// The coherent receiver re-decides the PER at the phase-aware
+		// The coherent receiver decides the PER at the phase-aware
 		// working point: tracking loss over the estimate horizon, minus
 		// the combining gain of a fresh estimate, plus (Double-decker
 		// only) the residual direct-path leakage — all folded in as
@@ -149,9 +145,10 @@ func (c *linkTable) compute(k linkKey) linkEntry {
 		if c.dd {
 			pen += baseline.DoubleDeckerLeakPenaltyDB(baseline.DoubleDeckerConfig{})
 		}
-		if e.InRange {
-			_, e.PERTag = l.PERsAt(d, shadow+pen, k.mode, overlay.DefaultTraffic(k.protocol))
-		}
+		perShadow += pen
+	}
+	if e.InRange {
+		_, e.PERTag = l.PERsAt(d, perShadow, k.mode, overlay.DefaultTraffic(k.protocol))
 	}
 	return e
 }

@@ -497,6 +497,42 @@ type fleetRun struct {
 	rxStart []int
 }
 
+// nearMargin is the relative margin over the least squared distance
+// within which nearestReceiver compares receivers by math.Hypot. A normal,
+// finite squared distance and Hypot are each within a few ulps of the
+// exact distance (squared), so a receiver whose square exceeds the least
+// by this much is farther by Hypot too.
+const nearMargin = 1e-9
+
+// nearestReceiver returns the receiver nearest (x, y) and its distance,
+// exactly as a scan keeping the first receiver of least
+// math.Hypot(x-r.X, y-r.Y) returns them (receiver 0 at +Inf when every
+// distance is +Inf). It ranks the receivers by squared distance and calls
+// Hypot, in receiver order, only for those whose square is within
+// nearMargin of the least, taken as no less than the least normal float.
+// So zero and subnormal squares, which underflow, always go to Hypot.
+// Squares that overflow to +Inf do whenever one of them can be nearest:
+// then the least square is within nearMargin of the largest float, and
+// the limit overflows too. sq is scratch of len(rx).
+func nearestReceiver(x, y float64, rx []ReceiverSpec, sq []float64) (int, float64) {
+	least := math.Inf(1)
+	for i, r := range rx {
+		dx, dy := x-r.X, y-r.Y
+		sq[i] = dx*dx + dy*dy
+		least = min(least, sq[i])
+	}
+	limit := max(least, 0x1p-1022) * (1 + nearMargin)
+	best, dist := 0, math.Inf(1)
+	for i, s := range sq {
+		if s <= limit {
+			if d := math.Hypot(x-rx[i].X, y-rx[i].Y); d < dist {
+				best, dist = i, d
+			}
+		}
+	}
+	return best, dist
+}
+
 // newRun builds the timeline (timed as fleet.timeline) and prefills the
 // tags (fleet.prefill) of a defaulted cfg.
 func newRun(cfg Config) (*fleetRun, error) {
@@ -568,22 +604,15 @@ func newRun(cfg Config) (*fleetRun, error) {
 	table := newLinkTable(cfg.Channel, cfg.Seed, cfg.Phase, cfg.Baseline == BaselineDoubleDecker)
 	sets := newPacketSets(3*len(cfg.Tags), len(events))
 	fr.tags = make([]*tagRun, len(cfg.Tags))
+	sq := make([]float64, len(fr.receivers))
 	for i, spec := range cfg.Tags {
 		t := &tagRun{spec: spec, id: i, mode: spec.Mode,
 			responses: sets[3*i], lost: sets[3*i+1], joint: sets[3*i+2]}
 		if t.mode == 0 {
 			t.mode = overlay.Mode1
 		}
-		t.rx = 0
-		best := math.Inf(1)
-		for ri, r := range fr.receivers {
-			d := math.Hypot(spec.X-r.X, spec.Y-r.Y)
-			if d < best {
-				best, t.rx = d, ri
-			}
-		}
-		t.dist = best
-		t.bucket = table.bucketOf(best)
+		t.rx, t.dist = nearestReceiver(spec.X, spec.Y, fr.receivers, sq)
+		t.bucket = table.bucketOf(t.dist)
 		if len(spec.Supported) == 0 {
 			for _, p := range radio.Protocols {
 				t.supported[p] = true

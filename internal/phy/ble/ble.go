@@ -205,10 +205,6 @@ func NewDemodulator(cfg Config) *Demodulator {
 // ErrShortWaveform is returned when the waveform cannot contain the frame.
 var ErrShortWaveform = errors.New("ble: waveform shorter than frame")
 
-// ErrCRC is returned by DemodulatePacket when the recovered CRC does not
-// match.
-var ErrCRC = errors.New("ble: CRC mismatch")
-
 // Demodulate recovers the de-whitened PDU bits (payload + 24 CRC bits)
 // from w using layout info. The returned slice aliases demodulator
 // scratch and is valid until the next Demodulate call; callers that
@@ -253,27 +249,6 @@ func (d *Demodulator) Demodulate(w radio.Waveform, info *FrameInfo) ([]byte, err
 	}
 	d.bits = bits
 	return bits, nil
-}
-
-// DemodulatePacket demodulates and strips/validates the CRC, returning the
-// payload bits.
-func (d *Demodulator) DemodulatePacket(w radio.Waveform, info *FrameInfo) ([]byte, error) {
-	bits, err := d.Demodulate(w, info)
-	if err != nil {
-		return nil, err
-	}
-	if len(bits) < 24 {
-		return nil, ErrShortWaveform
-	}
-	payload := bits[:len(bits)-24]
-	var crc uint32
-	for _, b := range bits[len(bits)-24:] {
-		crc = crc<<1 | uint32(b&1)
-	}
-	if radio.CRC24BLE(payload, 0x555555) != crc {
-		return payload, ErrCRC
-	}
-	return payload, nil
 }
 
 // discriminateInto converts IQ samples to instantaneous frequency (Hz)

@@ -35,16 +35,22 @@ func TestFrameBitsLayout(t *testing.T) {
 	}
 }
 
+// advPDU frames data as the advertising PDU ReceiveFrame reads: a
+// two-byte header whose length byte counts the data, then the data.
+func advPDU(data []byte) []byte {
+	return append([]byte{0x02, byte(len(data))}, data...)
+}
+
 func TestRoundTripClean(t *testing.T) {
 	cfg := Config{}
 	m := NewModulator(cfg)
-	payload := []byte("BLE adv payload for multiscatter, 37 bytes!!")[:37]
-	w, info := m.Modulate(radio.Packet{Payload: payload})
-	got, err := NewDemodulator(cfg).DemodulatePacket(w, info)
+	payload := advPDU([]byte("BLE adv payload for multiscatter, 37 bytes!!")[:37])
+	w, _ := m.Modulate(radio.Packet{Payload: payload})
+	frame, err := ReceiveFrame(w, cfg, 8)
 	if err != nil {
 		t.Fatalf("demodulate: %v", err)
 	}
-	if !bytes.Equal(got, radio.BytesToBits(payload)) {
+	if got := radio.BytesToBits(frame.PDU); !bytes.Equal(got, radio.BytesToBits(payload)) {
 		t.Fatalf("payload mismatch, BER %v", radio.BitErrorRate(got, radio.BytesToBits(payload)))
 	}
 }
@@ -52,13 +58,13 @@ func TestRoundTripClean(t *testing.T) {
 func TestRoundTripNoWhitening(t *testing.T) {
 	cfg := Config{NoWhitening: true}
 	m := NewModulator(cfg)
-	payload := []byte{0x01, 0x02, 0x03}
-	w, info := m.Modulate(radio.Packet{Payload: payload})
-	got, err := NewDemodulator(cfg).DemodulatePacket(w, info)
+	payload := advPDU([]byte{0x01, 0x02, 0x03})
+	w, _ := m.Modulate(radio.Packet{Payload: payload})
+	frame, err := ReceiveFrame(w, cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, radio.BytesToBits(payload)) {
+	if !bytes.Equal(frame.PDU, payload) {
 		t.Fatal("no-whitening round trip failed")
 	}
 }
@@ -66,17 +72,17 @@ func TestRoundTripNoWhitening(t *testing.T) {
 func TestRoundTripWithNoise(t *testing.T) {
 	cfg := Config{}
 	m := NewModulator(cfg)
-	payload := []byte{0xDE, 0xAD, 0xBE, 0xEF, 0x55}
-	w, info := m.Modulate(radio.Packet{Payload: payload})
+	payload := advPDU([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0x55})
+	w, _ := m.Modulate(radio.Packet{Payload: payload})
 	rng := rand.New(rand.NewSource(11))
 	for i := range w.IQ {
 		w.IQ[i] += complex(rng.NormFloat64()*0.1, rng.NormFloat64()*0.1)
 	}
-	got, err := NewDemodulator(cfg).DemodulatePacket(w, info)
+	frame, err := ReceiveFrame(w, cfg, 8)
 	if err != nil {
 		t.Fatalf("demodulate under 20 dB SNR: %v", err)
 	}
-	if !bytes.Equal(got, radio.BytesToBits(payload)) {
+	if !bytes.Equal(frame.PDU, payload) {
 		t.Fatal("noisy round trip failed")
 	}
 }
@@ -84,14 +90,15 @@ func TestRoundTripWithNoise(t *testing.T) {
 func TestCRCDetectsCorruption(t *testing.T) {
 	cfg := Config{}
 	m := NewModulator(cfg)
-	payload := []byte{1, 2, 3, 4}
+	payload := advPDU([]byte{1, 2, 3, 4})
 	w, info := m.Modulate(radio.Packet{Payload: payload})
-	// Invert a chunk of payload samples — enough to flip a symbol.
-	s := info.SymbolStart[10]
+	// Invert a chunk of samples of the data after the PDU header — enough
+	// to flip a symbol.
+	s := info.SymbolStart[16+10]
 	for i := s; i < s+info.SamplesPerSymbol; i++ {
 		w.IQ[i] = complex(real(w.IQ[i]), -imag(w.IQ[i])) // conjugate flips frequency
 	}
-	_, err := NewDemodulator(cfg).DemodulatePacket(w, info)
+	_, err := ReceiveFrame(w, cfg, 8)
 	if !errors.Is(err, ErrCRC) {
 		t.Fatalf("err = %v, want ErrCRC", err)
 	}
@@ -173,20 +180,20 @@ func TestTagShiftFlipsSymbolRuns(t *testing.T) {
 func TestPropertyRoundTrip(t *testing.T) {
 	cfg := Config{}
 	m := NewModulator(cfg)
-	d := NewDemodulator(cfg)
-	f := func(payload []byte) bool {
-		if len(payload) == 0 {
-			payload = []byte{0}
+	f := func(data []byte) bool {
+		if len(data) == 0 {
+			data = []byte{0}
 		}
-		if len(payload) > 37 {
-			payload = payload[:37]
+		if len(data) > 37 {
+			data = data[:37]
 		}
-		w, info := m.Modulate(radio.Packet{Payload: payload})
-		got, err := d.DemodulatePacket(w, info)
+		payload := advPDU(data)
+		w, _ := m.Modulate(radio.Packet{Payload: payload})
+		frame, err := ReceiveFrame(w, cfg, 8)
 		if err != nil {
 			return false
 		}
-		return bytes.Equal(got, radio.BytesToBits(payload))
+		return bytes.Equal(frame.PDU, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

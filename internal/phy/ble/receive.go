@@ -21,6 +21,9 @@ var ErrNoFrame = errors.New("ble: no frame found")
 // the captured samples.
 var ErrLength = errors.New("ble: PDU length exceeds capture")
 
+// ErrCRC is returned when the recovered CRC-24 does not match the PDU.
+var ErrCRC = errors.New("ble: CRC mismatch")
+
 // ReceiveFrame runs the complete BLE advertising receive chain on an
 // unaligned waveform: preamble + access-address synchronization, PDU
 // header demodulation (the length field sizes the rest), de-whitening,

@@ -43,7 +43,7 @@ const (
 // `cfg.Seed + 1` idiom) hands correlated state to math/rand's lagged
 // Fibonacci generator.
 func SeedRNG(seed, stream int64) *rand.Rand {
-	return SeedRNGAt(seed, stream, 0)
+	return rand.New(SeedSource(seed, stream))
 }
 
 // SeedRNGAt derives a deterministic RNG for one call site of a stream:
@@ -51,10 +51,17 @@ func SeedRNG(seed, stream int64) *rand.Rand {
 // key, a tag ID) so each draws a sequence that is a pure function of
 // (seed, stream, site) — the foundation of shard-safe randomness, since
 // no consumption order or goroutine schedule can perturb another site.
-// Site 0 is the plain stream: SeedRNGAt(seed, stream, 0) == SeedRNG(seed,
-// stream).
+// Site 0 is the plain stream: SeedRNGAt(seed, stream, 0) draws what
+// SeedRNG(seed, stream) draws.
+//
+// A site usually draws one or two values, so its generator is seeded
+// lazily: the first draws are computed from just the state words they
+// read, and the full generator is seeded only once the site keeps
+// drawing. The values are math/rand's for the same seed either way.
 func SeedRNGAt(seed, stream int64, site uint64) *rand.Rand {
-	return rand.New(NewSource(mixSeed(seed, stream, site)))
+	s := new(siteSource)
+	s.Seed(mixSeed(seed, stream, site))
+	return rand.New(s)
 }
 
 // SeedSource is SeedRNG's generator itself, for a hot loop that draws
