@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -50,6 +51,11 @@ var (
 
 func main() {
 	flag.Parse()
+	// NaN fails every comparison below, so it would silently mean 0.
+	if math.IsNaN(*duty) || math.IsNaN(*shadow) || math.IsNaN(*lux) {
+		fmt.Fprintln(os.Stderr, "mssim: -duty, -shadow and -lux must not be NaN")
+		os.Exit(2)
+	}
 	lg := clilog.Setup("mssim")
 	defer obsflag.Start("mssim")()
 	var sources []excite.Source

@@ -113,11 +113,3 @@ func (a *ADC) Quantize(v float64) float64 {
 	}
 	return float64(a.Code(v)) * vref / float64(levels)
 }
-
-// PowerMW returns the converter's power draw in milliwatts at its
-// configured rate, scaled from the AD9235 datasheet point the paper
-// measured: 260 mW at 20 Msps (Table 3). CMOS ADC power scales roughly
-// linearly with rate.
-func (a *ADC) PowerMW() float64 {
-	return 260 * a.Rate / 20e6
-}

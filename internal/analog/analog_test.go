@@ -203,16 +203,6 @@ func TestADCSampleRateConversion(t *testing.T) {
 	}
 }
 
-func TestADCPowerScaling(t *testing.T) {
-	// Table 3 anchor: 260 mW at 20 Msps, linear in rate.
-	if p := NewADC(20e6).PowerMW(); math.Abs(p-260) > 1e-9 {
-		t.Fatalf("20 Msps power = %v", p)
-	}
-	if p := NewADC(2.5e6).PowerMW(); math.Abs(p-32.5) > 1e-9 {
-		t.Fatalf("2.5 Msps power = %v", p)
-	}
-}
-
 func TestADCDefaults(t *testing.T) {
 	adc := &ADC{Rate: 20e6} // zero Bits/VRef fall back to 9-bit, 0.5 V
 	if adc.Code(0.5) != 511 {

@@ -151,12 +151,6 @@ func (l *BackscatterLink) ShadowDB(rng *rand.Rand) float64 {
 	return l.Forward.ShadowDB(rng) + l.Backward.ShadowDB(rng)
 }
 
-// TagInputDBm returns the excitation power arriving at the tag — the
-// quantity the rectifier and energy harvester see.
-func (l *BackscatterLink) TagInputDBm(txDBm, dFwd float64) float64 {
-	return txDBm - l.Forward.PathLossDB(dFwd)
-}
-
 // AWGN adds complex white Gaussian noise to iq in place so the resulting
 // per-sample SNR is snrDB relative to the signal's current mean power.
 // It returns iq. A nil rng uses math/rand's global source; pass a seeded

@@ -123,7 +123,7 @@ func TestBackscatterLinkBudget(t *testing.T) {
 	// Tag input power: 30 dBm over 0.8 m ≈ −8.1 dBm (40.05 dB at 1 m,
 	// −1.94 dB for the 0.8 m distance), comfortably above the −13 dBm
 	// tag sensitivity.
-	in := l.TagInputDBm(30, 0.8)
+	in := l.Forward.Received(30, 0.8)
 	if in < -9 || in > -7 {
 		t.Fatalf("tag input = %v dBm", in)
 	}

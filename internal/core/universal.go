@@ -32,9 +32,9 @@ var ErrNoFrameFound = errors.New("core: no frame of any protocol found")
 // capture and returns the best lock — the software equivalent of a
 // monitor radio scanning the 2.4 GHz band. Protocols are tried in the
 // tag's ordered-matching order, and among successful locks the highest
-// sync score wins. 802.11n is excluded (its payload layout depends on an
-// MCS the capture alone does not reveal in this simulator); use the ofdm
-// package directly for known-MCS frames.
+// sync score wins. 802.11n is excluded (its payload layout depends on a
+// modulation the capture alone does not reveal in this simulator); use
+// the ofdm package directly for frames of known modulation.
 func UniversalReceive(w radio.Waveform, maxOffset int) (*UniversalFrame, error) {
 	var best *UniversalFrame
 	consider := func(f *UniversalFrame) {

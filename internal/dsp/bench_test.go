@@ -163,12 +163,3 @@ func BenchmarkCrossCorrSearch(b *testing.B) {
 		CrossCorrSearch(x, ref, 2000, freqs, 8e6)
 	}
 }
-
-func BenchmarkLowpass63Taps(b *testing.B) {
-	f := NewLowpass(0.1, 63)
-	x := randomIQ(4096, 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.Apply(x)
-	}
-}

@@ -117,11 +117,6 @@ func rotateConstant(x []complex128, phase0 float64) []complex128 {
 	return x
 }
 
-// PhaseShift multiplies x in place by exp(j*theta).
-func PhaseShift(x []complex128, theta float64) []complex128 {
-	return Scale(x, complex(math.Cos(theta), math.Sin(theta)))
-}
-
 // MeanFloat returns the arithmetic mean of x, or 0 for an empty slice.
 func MeanFloat(x []float64) float64 {
 	if len(x) == 0 {

@@ -438,7 +438,7 @@ func TestCrossCorrPeakFindsReference(t *testing.T) {
 	}
 	// A phase-rotated copy must still be found (non-coherent detection).
 	y := Clone(x)
-	PhaseShift(y, 1.2)
+	Scale(y, complex(math.Cos(1.2), math.Sin(1.2)))
 	off, _ = CrossCorrPeak(y, ref, 0)
 	if off != at {
 		t.Fatalf("rotated peak at %d, want %d", off, at)
@@ -508,7 +508,7 @@ func TestFIRApplyComplexMatchesFloat(t *testing.T) {
 		cx[i] = complex(x[i], 0)
 	}
 	a := f.ApplyFloat(x)
-	b := f.Apply(cx)
+	b := f.ApplyInto(make([]complex128, len(cx)), cx)
 	for i := range a {
 		if math.Abs(a[i]-real(b[i])) > 1e-12 || math.Abs(imag(b[i])) > 1e-12 {
 			t.Fatalf("complex/real filter mismatch at %d", i)

@@ -258,10 +258,10 @@ func TestFIRIntoMatchesLegacy(t *testing.T) {
 				}
 				wantC[i] = complex(accRe, accIm)
 			}
-			gotC := f.Apply(x)
+			gotC := f.ApplyInto(make([]complex128, n), x)
 			for i := range wantC {
 				if gotC[i] != wantC[i] {
-					t.Fatalf("Apply taps=%d n=%d sample %d: %v vs %v", taps, n, i, gotC[i], wantC[i])
+					t.Fatalf("ApplyInto taps=%d n=%d sample %d: %v vs %v", taps, n, i, gotC[i], wantC[i])
 				}
 			}
 		}

@@ -174,15 +174,9 @@ func (f *FIR) edgeTapFloat(x []float64, i, delay int) float64 {
 	return acc
 }
 
-// Apply convolves the complex signal x with the filter, returning a new
-// aligned slice of the same length.
-func (f *FIR) Apply(x []complex128) []complex128 {
-	return f.ApplyInto(make([]complex128, len(x)), x)
-}
-
-// ApplyInto convolves x into dst (which must not alias x and must have
-// len(x) capacity) and returns dst[:len(x)]. See ApplyFloatInto for the
-// interior/edge split; outputs are bit-identical to Apply.
+// ApplyInto convolves the complex signal x into dst (which must not
+// alias x and must have len(x) capacity) and returns the aligned
+// dst[:len(x)]. See ApplyFloatInto for the interior/edge split.
 func (f *FIR) ApplyInto(dst, x []complex128) []complex128 {
 	taps := f.Taps
 	delay := (len(taps) - 1) / 2

@@ -394,6 +394,13 @@ func withDefaults(cfg Config) (Config, error) {
 	if len(cfg.Tags) == 0 {
 		return cfg, fmt.Errorf("fleet: no tags")
 	}
+	// An infinite rate's mean gap rounds to 0 ns, so the timeline would
+	// never advance; a NaN rate fails every comparison.
+	for i, s := range cfg.Sources {
+		if !finite(s.PacketRate) {
+			return cfg, fmt.Errorf("fleet: source %d's packet rate %v is not finite", i, s.PacketRate)
+		}
+	}
 	// A non-finite coordinate has no distance to a receiver, and a NaN
 	// accuracy fails every draw's comparison, so no packet would miss.
 	for i, t := range cfg.Tags {

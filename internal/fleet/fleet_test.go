@@ -92,8 +92,9 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("expected error for a NaN link RSSI")
 	}
-	// A tag or receiver off the finite plane has no distance, and a NaN
-	// accuracy would never miss a packet.
+	// A tag or receiver off the finite plane has no distance, a NaN
+	// accuracy would never miss a packet, and a source at an infinite
+	// rate would never advance the timeline.
 	nan, inf := math.NaN(), math.Inf(1)
 	for name, edit := range map[string]func(*Config){
 		"tag x NaN":          func(c *Config) { c.Tags[1].X = nan },
@@ -103,6 +104,9 @@ func TestRunErrors(t *testing.T) {
 		"receiver y -Inf":    func(c *Config) { c.Receivers[1].Y = -inf },
 		"NaN BLE accuracy":   func(c *Config) { c.Tags[1].IdentAccuracy = map[radio.Protocol]float64{radio.ProtocolBLE: nan} },
 		"NaN 802.11n (only)": func(c *Config) { c.Tags[0].IdentAccuracy = map[radio.Protocol]float64{radio.Protocol80211n: nan} },
+		"source rate NaN":    func(c *Config) { c.Sources[0].PacketRate = nan },
+		"source rate +Inf":   func(c *Config) { c.Sources[0].PacketRate = inf },
+		"source rate -Inf":   func(c *Config) { c.Sources[0].PacketRate = -inf },
 	} {
 		cfg := Config{Sources: []excite.Source{wifiSource(10)}, Tags: PlaceGrid(2, 1, 1),
 			Receivers: PlaceReceivers(2, 1, 1), Span: 100 * time.Millisecond}

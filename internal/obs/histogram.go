@@ -102,9 +102,6 @@ func (h *Histogram) Observe(v float64) {
 	addFloat(&h.sumBits, v)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 

@@ -66,9 +66,11 @@ func TestStageTimer(t *testing.T) {
 	if s.MinNS != int64(10*time.Millisecond) {
 		t.Fatalf("min = %d, want %d", s.MinNS, int64(10*time.Millisecond))
 	}
-	st.Time(func() { time.Sleep(time.Millisecond) })
-	if st.Count() != 3 || st.TotalNS() <= s.TotalNS {
-		t.Fatal("Time did not record")
+	t0 := time.Now()
+	time.Sleep(time.Millisecond)
+	st.ObserveSince(t0)
+	if s2 := st.snapshot(); s2.Count != 3 || s2.TotalNS <= s.TotalNS {
+		t.Fatal("ObserveSince did not record")
 	}
 	if st.MinNS() > int64(10*time.Millisecond) {
 		t.Fatalf("min grew after a faster observation: %d", st.MinNS())
@@ -184,7 +186,7 @@ func TestSharedRegistryConcurrency(t *testing.T) {
 	if got := r.Counter("shared").Load(); got != 40_000 {
 		t.Fatalf("shared counter = %d, want 40000", got)
 	}
-	if got := r.Histogram("h", nil).Count(); got != 40_000 {
+	if got := r.Snapshot().Histograms["h"].Count; got != 40_000 {
 		t.Fatalf("shared histogram count = %d", got)
 	}
 }

@@ -20,7 +20,7 @@
 //     internal/fleet proves the nil path is within noise of the
 //     pre-recorder baseline.
 //   - Each shard's buffer is single-writer (the fleet pool runs one
-//     goroutine per shard at a time), so Record is a plain slice write —
+//     goroutine per shard at a time), so Alloc is a plain slice write —
 //     no atomics, no locks. Buffers grow by append up to Capacity, then
 //     wrap as a ring: the recorder keeps the *most recent* events per
 //     shard, which is what a flight recorder is for.
@@ -193,22 +193,13 @@ func (r *Recorder) Shard(shard int) *ShardRecorder {
 	if r == nil || shard < 0 || shard >= len(r.shards) {
 		return nil
 	}
-	return &ShardRecorder{r: r, shard: int32(shard), sample: int32(r.sample)}
+	return &ShardRecorder{r: r, shard: int32(shard)}
 }
 
-// ShardRecorder is one shard's write handle. It carries its own copy of
-// the sampling stride so the per-packet Wants check stays a local
-// compare/modulo instead of chasing two pointers into the Recorder.
+// ShardRecorder is one shard's write handle.
 type ShardRecorder struct {
-	r      *Recorder
-	shard  int32
-	sample int32
-}
-
-// Wants reports whether the timeline packet index is sampled. Callers
-// check it once per packet and skip all event construction when false.
-func (sr *ShardRecorder) Wants(packet int32) bool {
-	return sr.sample == 1 || packet%sr.sample == 0
+	r     *Recorder
+	shard int32
 }
 
 // Mask precomputes the sampling decision for each of n timeline
@@ -227,18 +218,10 @@ func (r *Recorder) Mask(n int) []bool {
 	return m
 }
 
-// Record appends one event to the shard's ring, overwriting the oldest
-// once the ring is full. Seq is assigned later, at Drain.
-func (sr *ShardRecorder) Record(ev Event) {
-	slot := sr.Alloc()
-	*slot = ev
-	slot.Shard = sr.shard
-}
-
 // Alloc returns the next event slot in the shard's ring (zeroed except
-// Shard), overwriting the oldest once the ring is full. Hot callers
-// fill the slot in place instead of copying an Event through Record.
-// The pointer is valid until the next Alloc on the same shard.
+// Shard), overwriting the oldest once the ring is full; callers fill it
+// in place. Seq is assigned later, at Drain. The pointer is valid until
+// the next Alloc on the same shard.
 func (sr *ShardRecorder) Alloc() *Event {
 	b := &sr.r.shards[sr.shard]
 	if !b.full {

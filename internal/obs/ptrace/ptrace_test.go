@@ -13,27 +13,36 @@ import (
 
 var update = flag.Bool("update", false, "regenerate the Chrome trace golden")
 
+// record writes ev into the shard's next ring slot, as the fleet engine
+// does through Alloc.
+func record(sr *ShardRecorder, ev Event) {
+	slot := sr.Alloc()
+	ev.Shard = slot.Shard
+	*slot = ev
+}
+
 // fill records a deterministic spread of lifecycles across shards.
 func fill(r *Recorder, shards, tagsPerShard, packets int) {
 	r.Configure(shards)
+	mask := r.Mask(packets)
 	for s := 0; s < shards; s++ {
 		sr := r.Shard(s)
 		for t := 0; t < tagsPerShard; t++ {
 			tag := int32(s + t*shards)
 			for p := 0; p < packets; p++ {
-				if !sr.Wants(int32(p)) {
+				if !mask[p] {
 					continue
 				}
 				base := Event{TUS: int64(p) * 1000, Tag: tag, Packet: int32(p), Proto: "802.11n"}
 				ex := base
 				ex.Stage, ex.DurUS = StageExcite, 185
-				sr.Record(ex)
+				record(sr, ex)
 				id := base
 				id.Stage, id.Detail = StageIdentify, "ok"
-				sr.Record(id)
+				record(sr, id)
 				oc := base
 				oc.Stage, oc.Detail = StageOutcome, "delivered"
-				sr.Record(oc)
+				record(sr, oc)
 			}
 		}
 	}
@@ -77,7 +86,7 @@ func TestShardCountInvariance(t *testing.T) {
 		for tag := int32(0); tag < 12; tag++ {
 			sr := r.Shard(int(tag) % shards)
 			for p := int32(0); p < 5; p++ {
-				sr.Record(Event{TUS: int64(p), Tag: tag, Packet: p, Proto: "BLE", Stage: StageExcite})
+				record(sr, Event{TUS: int64(p), Tag: tag, Packet: p, Proto: "BLE", Stage: StageExcite})
 			}
 		}
 		evs := r.Drain()
@@ -96,10 +105,10 @@ func TestSampling(t *testing.T) {
 	r.Configure(1)
 	sr := r.Shard(0)
 	var kept int
-	for p := int32(0); p < 100; p++ {
-		if sr.Wants(p) {
+	for p, want := range r.Mask(100) {
+		if want {
 			kept++
-			sr.Record(Event{Packet: p, Stage: StageExcite})
+			record(sr, Event{Packet: int32(p), Stage: StageExcite})
 		}
 	}
 	if kept != 10 {
@@ -115,7 +124,7 @@ func TestRingOverwriteKeepsNewest(t *testing.T) {
 	r.Configure(1)
 	sr := r.Shard(0)
 	for p := int32(0); p < 20; p++ {
-		sr.Record(Event{Packet: p, Stage: StageExcite})
+		record(sr, Event{Packet: p, Stage: StageExcite})
 	}
 	evs := r.Drain()
 	if len(evs) != 8 {
@@ -291,8 +300,8 @@ func BenchmarkRecord(b *testing.B) {
 	ev := Event{TUS: 1000, Tag: 3, Packet: 7, Proto: "802.11n", Stage: StageIdentify, Detail: "ok"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if sr != nil && sr.Wants(int32(i)) {
-			sr.Record(ev)
+		if sr != nil {
+			record(sr, ev)
 		}
 	}
 }
@@ -306,8 +315,8 @@ func BenchmarkRecordDisabled(b *testing.B) {
 	ev := Event{TUS: 1000, Tag: 3, Packet: 7, Proto: "802.11n", Stage: StageIdentify, Detail: "ok"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if sr != nil && sr.Wants(int32(i)) {
-			sr.Record(ev)
+		if sr != nil {
+			record(sr, ev)
 		}
 	}
 }

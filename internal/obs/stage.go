@@ -50,19 +50,6 @@ func (t *StageTimer) Observe(d time.Duration) {
 // function return.
 func (t *StageTimer) ObserveSince(t0 time.Time) { t.Observe(time.Since(t0)) }
 
-// Time runs fn and records its duration.
-func (t *StageTimer) Time(fn func()) {
-	t0 := time.Now()
-	fn()
-	t.ObserveSince(t0)
-}
-
-// Count returns the number of recorded executions.
-func (t *StageTimer) Count() int64 { return t.count.Load() }
-
-// TotalNS returns the accumulated nanoseconds.
-func (t *StageTimer) TotalNS() int64 { return t.total.Load() }
-
 // MinNS returns the fastest recorded execution in nanoseconds (0 when
 // no executions have been recorded).
 func (t *StageTimer) MinNS() int64 {

@@ -469,13 +469,6 @@ func cckChips(rate Rate, bits []byte, even bool) (float64, []complex128) {
 	return dphi, chips
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Demodulator recovers 802.11b payload bits from a frame-aligned waveform.
 // It owns a reusable raw-bit buffer and caches the payload descrambler
 // seed state per payload length, so a steady-state Demodulate performs

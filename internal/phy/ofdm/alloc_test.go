@@ -47,34 +47,29 @@ func modulateByAppend(m *Modulator, pkt radio.Packet) []complex128 {
 	iq = append(iq, m.ltf...)
 	iq = append(iq, m.lsig...)
 	for i := 0; i < 2; i++ {
-		iq = append(iq, m.htSigSymbol(uint32(0x2C0000+len(pkt.Payload)), i)...)
+		iq = append(iq, htSigSymbol(uint32(0x2C0000+len(pkt.Payload)), i)...)
 	}
 	for i := 0; i < 80; i++ {
 		iq = append(iq, core[i%FFTSize])
 	}
 	iq = append(iq, m.htltf...)
-	coded := radio.BytesToBits(pkt.Payload)
-	if m.cfg.Coded {
-		coded = Puncture(ConvEncode(coded), m.cfg.Rate)
-	}
+	bits := radio.BytesToBits(pkt.Payload)
 	perSym := len(dataSubcarriers) * m.cfg.Modulation.BitsPerSubcarrier()
 	bins := make([]complex128, FFTSize)
-	for off, s := 0, 0; off < len(coded); off, s = off+perSym, s+1 {
-		iq = m.appendDataSymbol(iq, bins, coded[off:min(off+perSym, len(coded))], s)
+	for off, s := 0, 0; off < len(bits); off, s = off+perSym, s+1 {
+		iq = m.appendDataSymbol(iq, bins, bits[off:min(off+perSym, len(bits))], s)
 	}
 	return iq
 }
 
 // TestModulateAllocatesOnce pins Modulate's single waveform allocation:
 // the capacity is exactly the frame's length, and the samples are
-// bitwise those of the frame built by appending, for uncoded and coded
-// configurations and payloads from empty to many symbols.
+// bitwise those of the frame built by appending, for BPSK and 16-QAM
+// and payloads from empty to many symbols.
 func TestModulateAllocatesOnce(t *testing.T) {
 	configs := []Config{
 		{Modulation: BPSK},
 		{Modulation: QAM16},
-		{Modulation: BPSK, Coded: true},
-		{Modulation: QPSK, Coded: true, Rate: R34},
 	}
 	for _, cfg := range configs {
 		m := NewModulator(cfg)

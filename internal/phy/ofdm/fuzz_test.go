@@ -1,44 +1,11 @@
 package ofdm
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
 	"multiscatter/internal/radio"
 )
-
-func FuzzViterbiRoundTrip(f *testing.F) {
-	f.Add([]byte{0x00})
-	f.Add([]byte{0xFF, 0x13})
-	f.Add([]byte("conv"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 || len(data) > 64 {
-			return
-		}
-		bits := radio.BytesToBits(data)
-		got := ViterbiDecode(ConvEncode(bits))
-		if !bytes.Equal(got, bits) {
-			t.Fatalf("clean Viterbi round trip failed for %x", data)
-		}
-	})
-}
-
-func FuzzViterbiRobustness(f *testing.F) {
-	// Arbitrary (even corrupt) coded streams must never panic and must
-	// return at most the implied payload length.
-	f.Add([]byte{0x00, 0x01, 0x02})
-	f.Fuzz(func(t *testing.T, coded []byte) {
-		if len(coded) > 512 {
-			return
-		}
-		bits := radio.BytesToBits(coded)
-		out := ViterbiDecode(bits)
-		if want := len(bits)/2 - ConvTail; want > 0 && len(out) != want {
-			t.Fatalf("output length %d, want %d", len(out), want)
-		}
-	})
-}
 
 // FuzzJointDemodulate feeds the joint decoder garbage: the layout of a
 // real uncoded four-symbol frame over an n-sample waveform (n up to the
@@ -84,7 +51,8 @@ func FuzzJointDemodulate(f *testing.F) {
 				iq[i] = complex(jointLevels[b&15], jointLevels[b>>4])
 			}
 		}
-		j, err := NewJointDemodulator(cfg, AssignConcurrent(1+int(k)%6))
+		tags := 1 + int(k)%6
+		j, err := NewJointDemodulator(cfg, AssignConcurrent(tags))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,8 +60,8 @@ func FuzzJointDemodulate(f *testing.F) {
 			j.SetExcitation(radio.BytesToBits(data[:min(len(data), 64)]))
 		}
 		streams, err := j.Demodulate(radio.Waveform{IQ: iq, Rate: SampleRate}, info)
-		if err == nil && len(streams) != j.Tags() {
-			t.Fatalf("%d streams for %d tags", len(streams), j.Tags())
+		if err == nil && len(streams) != tags {
+			t.Fatalf("%d streams for %d tags", len(streams), tags)
 		}
 	})
 }

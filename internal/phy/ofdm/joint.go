@@ -47,10 +47,6 @@ type SubcarrierGroup struct {
 	Of    int
 }
 
-// FullBand is the trivial partition: one group holding every data
-// subcarrier.
-var FullBand = SubcarrierGroup{Index: 0, Of: 1}
-
 // bounds returns the half-open [lo, hi) positions of the group within
 // dataSubcarriers.
 func (g SubcarrierGroup) bounds() (int, int) {
@@ -66,13 +62,6 @@ func (g SubcarrierGroup) bounds() (int, int) {
 func (g SubcarrierGroup) Size() int {
 	lo, hi := g.bounds()
 	return hi - lo
-}
-
-// Subcarriers returns the group's signed subcarrier indices in
-// increasing frequency order.
-func (g SubcarrierGroup) Subcarriers() []int {
-	lo, hi := g.bounds()
-	return append([]int(nil), dataSubcarriers[lo:hi]...)
 }
 
 // TagAssignment describes how one concurrent tag rides the excitation:
@@ -237,12 +226,6 @@ func ApplyConcurrentTags(w radio.Waveform, info *FrameInfo, assigns []TagAssignm
 	return nil
 }
 
-// ErrJointCoded is returned when a JointDemodulator is built over a
-// convolutionally coded config: joint decoding operates on raw symbol
-// decisions the way the overlay layer does, so coded configs keep the
-// scalar Demodulator.
-var ErrJointCoded = errors.New("ofdm: joint demodulation requires an uncoded config")
-
 // JointDemodulator recovers K concurrent tags' subcarrier bit streams
 // from one collided, frame-aligned waveform. It equalizes against the
 // HT-LTF exactly like Demodulator (the channel-estimate scratch is
@@ -262,7 +245,7 @@ type JointDemodulator struct {
 	acc [][]complex128
 	// totalGain per data-subcarrier position (superposition normalizer).
 	totalGain []float64
-	// ref holds the clean excitation's coded bits (Demodulate order),
+	// ref holds the clean excitation's data bits (Demodulate order),
 	// required for code-shared (L>1) separation: see SetExcitation.
 	ref []byte
 	// streams holds the per-tag output bit slices, reused across calls.
@@ -286,9 +269,6 @@ func (j *JointDemodulator) SetExcitation(bits []byte) {
 // per-tag assignments. All assignments must share one code length so
 // despreading windows align; mixed lengths return an error.
 func NewJointDemodulator(cfg Config, assigns []TagAssignment) (*JointDemodulator, error) {
-	if cfg.Coded {
-		return nil, ErrJointCoded
-	}
 	if len(assigns) == 0 {
 		return nil, errors.New("ofdm: joint demodulation needs at least one tag assignment")
 	}
@@ -324,9 +304,6 @@ func NewJointDemodulator(cfg Config, assigns []TagAssignment) (*JointDemodulator
 // CodeLen returns the shared despreading window length in OFDM symbols.
 func (j *JointDemodulator) CodeLen() int { return j.assigns[0].codeLen() }
 
-// Tags returns the number of concurrent tags the demodulator separates.
-func (j *JointDemodulator) Tags() int { return len(j.assigns) }
-
 // Demodulate recovers every tag's subcarrier bit stream from one
 // collided waveform. Stream k holds, window-major then subcarrier-major,
 // the hard-demapped bits of tag k's group after despreading; with a
@@ -336,15 +313,9 @@ func (j *JointDemodulator) Tags() int { return len(j.assigns) }
 // until the next call.
 func (j *JointDemodulator) Demodulate(w radio.Waveform, info *FrameInfo) ([][]byte, error) {
 	obsJointDemodulated.Inc()
-	if info.PreambleEnd > len(w.IQ) {
-		return nil, ErrShortWaveform
+	if err := j.d.estimateChannel(w, info); err != nil {
+		return nil, err
 	}
-	if n := info.NumSymbols(); n > 0 {
-		if info.SymbolStart[n-1]+SymbolSamples > len(w.IQ) {
-			return nil, ErrShortWaveform
-		}
-	}
-	j.d.estimateChannel(w, info)
 	L := j.CodeLen()
 	bpsc := j.cfg.Modulation.BitsPerSubcarrier()
 	numWindows := info.NumSymbols() / L
@@ -446,7 +417,7 @@ func (j *JointDemodulator) refPoint(s, pos int) complex128 {
 // bits, one per despreading window, by majority-voting the stream's sign
 // bits against the excitation's reference bits for that group (the
 // overlay convention: a flipped window means tag bit 1). ref holds the
-// clean frame's coded bits in Demodulate order (symbol-major, bpsc bits
+// clean frame's data bits in Demodulate order (symbol-major, bpsc bits
 // per subcarrier); windows beyond ref vote against zero bits.
 func JointTagBits(stream []byte, ref []byte, a TagAssignment, mod Modulation, numSymbols int) []byte {
 	bpsc := mod.BitsPerSubcarrier()

@@ -1,9 +1,9 @@
 // Package ofdm implements an IEEE 802.11n (HT, 20 MHz) physical layer at
 // complex baseband: the legacy L-STF/L-LTF/L-SIG preamble, the HT-SIG,
-// HT-STF and HT-LTF fields, and OFDM data symbols with BPSK, QPSK or
-// 16-QAM subcarrier mapping over a 64-point IFFT with an 800 ns guard
-// interval. An optional rate-1/2 K=7 convolutional code (the 802.11 BCC
-// with hard-decision Viterbi decoding) covers the data field.
+// HT-STF and HT-LTF fields, and uncoded OFDM data symbols with BPSK,
+// QPSK or 16-QAM subcarrier mapping over a 64-point IFFT with an 800 ns
+// guard interval. The data field carries raw symbol decisions, which is
+// what overlay modulation reads.
 //
 // As with package dsss, the modulator reports per-symbol sample
 // boundaries: the multiscatter overlay layer flips the phase of whole OFDM
@@ -36,14 +36,12 @@ const (
 type Modulation int
 
 const (
-	// BPSK is 1 bit per subcarrier (MCS 0 uses BPSK).
+	// BPSK is 1 bit per subcarrier.
 	BPSK Modulation = iota
 	// QPSK is 2 bits per subcarrier.
 	QPSK
 	// QAM16 is 4 bits per subcarrier.
 	QAM16
-	// QAM64 is 6 bits per subcarrier (MCS 5–7).
-	QAM64
 )
 
 // String names the modulation as in the paper's Figure 17.
@@ -55,8 +53,6 @@ func (m Modulation) String() string {
 		return "OFDM-QPSK"
 	case QAM16:
 		return "OFDM-16QAM"
-	case QAM64:
-		return "OFDM-64QAM"
 	default:
 		return fmt.Sprintf("Modulation(%d)", int(m))
 	}
@@ -69,8 +65,6 @@ func (m Modulation) BitsPerSubcarrier() int {
 		return 2
 	case QAM16:
 		return 4
-	case QAM64:
-		return 6
 	default:
 		return 1
 	}
@@ -102,22 +96,6 @@ func DataSubcarriers() int { return len(dataSubcarriers) }
 type Config struct {
 	// Modulation of the data subcarriers.
 	Modulation Modulation
-	// Coded enables the convolutional code over the data field. The
-	// overlay carrier generator runs uncoded so raw symbol decisions are
-	// available; a standard MCS link runs coded.
-	Coded bool
-	// Rate selects the code rate via puncturing (R12 default; only
-	// meaningful when Coded).
-	Rate CodeRate
-}
-
-// BitRate returns the data-field information bit rate in bits/s.
-func (c Config) BitRate() float64 {
-	bits := float64(len(dataSubcarriers) * c.Modulation.BitsPerSubcarrier())
-	if c.Coded {
-		bits *= c.Rate.Fraction()
-	}
-	return bits / 4e-6
 }
 
 // FrameInfo describes the sample layout of a modulated 802.11n frame.
@@ -246,7 +224,10 @@ func NewModulator(cfg Config) *Modulator {
 	stf := ofdmSymbol(lstfSeq)
 	m.stfCore = stf[GuardSamples:]
 	m.ltf = ofdmSymbol(lltfSeq)[GuardSamples:]
-	m.lsig = m.signalSymbol(0x0F1234)
+	// L-SIG: 24 bits of a fixed pattern, each on two subcarriers — a
+	// simplified but envelope-faithful stand-in for the real BCC-coded
+	// L-SIG.
+	m.lsig = sigSymbol(0x0F1234, func(i int) int { return i / 2 }, 0, 1, -1)
 	m.htltf = ofdmSymbol(htltfSeq)
 	return m
 }
@@ -261,17 +242,12 @@ func (m *Modulator) Modulate(pkt radio.Packet) (radio.Waveform, *FrameInfo) {
 		SampleRate:       SampleRate,
 		SamplesPerSymbol: SymbolSamples,
 	}
-	// The coded bits fix the symbol count, so the waveform is allocated
-	// once at its final length.
+	// The bits fix the symbol count, so the waveform is allocated once
+	// at its final length.
 	bits := radio.BytesToBits(pkt.Payload)
 	info.PayloadBits = len(bits)
-	coded := bits
-	if m.cfg.Coded {
-		coded = Puncture(ConvEncode(bits), m.cfg.Rate)
-	}
-	bpsc := m.cfg.Modulation.BitsPerSubcarrier()
-	perSym := len(dataSubcarriers) * bpsc
-	symbols := (len(coded) + perSym - 1) / perSym
+	perSym := len(dataSubcarriers) * m.cfg.Modulation.BitsPerSubcarrier()
+	symbols := (len(bits) + perSym - 1) / perSym
 	iq := make([]complex128, 0, preambleSamples+symbols*SymbolSamples)
 
 	// L-STF: two 8 µs periods built from a symbol with period 16; the
@@ -294,7 +270,7 @@ func (m *Modulator) Modulate(pkt radio.Packet) (radio.Waveform, *FrameInfo) {
 
 	// HT-SIG: two QBPSK symbols (BPSK on the imaginary axis).
 	for i := 0; i < 2; i++ {
-		iq = append(iq, m.htSigSymbol(uint32(0x2C0000+len(pkt.Payload)), i)...)
+		iq = append(iq, htSigSymbol(uint32(0x2C0000+len(pkt.Payload)), i)...)
 	}
 	// HT-STF: 4 µs, same construction as L-STF.
 	for i := 0; i < 80; i++ {
@@ -308,62 +284,43 @@ func (m *Modulator) Modulate(pkt radio.Packet) (radio.Waveform, *FrameInfo) {
 	// scratch and append the time-domain samples.
 	bins := dsp.SharedPool.GetComplex(FFTSize)
 	defer dsp.SharedPool.PutComplex(bins)
-	for off := 0; off < len(coded); off += perSym {
-		chunk := coded[off:min(off+perSym, len(coded))]
+	for off := 0; off < len(bits); off += perSym {
+		chunk := bits[off:min(off+perSym, len(bits))]
 		info.SymbolStart = append(info.SymbolStart, len(iq))
 		iq = m.appendDataSymbol(iq, bins, chunk, len(info.SymbolStart)-1)
 	}
 	return radio.Waveform{IQ: iq, Rate: SampleRate}, info
 }
 
-// signalSymbol builds the L-SIG BPSK OFDM symbol from 24 bits of val over
-// the 48 legacy data subcarriers (each bit repeated twice; a simplified
-// but envelope-faithful stand-in for the real BCC-coded L-SIG).
-func (m *Modulator) signalSymbol(val uint32) []complex128 {
+// sigSymbol builds a BPSK signal-field OFDM symbol over the 48 legacy
+// data subcarriers: data subcarrier i carries on where bit shift(i)%24
+// of val is 1 and off where it is 0, and the pilots carry the polarity
+// of pilot symbol sym.
+func sigSymbol(val uint32, shift func(i int) int, sym int, on, off complex128) []complex128 {
 	freq := map[int]complex128{}
 	i := 0
 	for k := -26; k <= 26; k++ {
-		if k == 0 {
-			continue
-		}
 		switch k {
+		case 0:
+			continue
 		case -21, -7, 7, 21:
-			freq[k] = pilotValue(0, k)
+			freq[k] = pilotValue(sym, k)
 			continue
 		}
-		bit := (val >> uint((i/2)%24)) & 1
-		if bit == 1 {
-			freq[k] = 1
+		if (val>>uint(shift(i)%24))&1 == 1 {
+			freq[k] = on
 		} else {
-			freq[k] = -1
+			freq[k] = off
 		}
 		i++
 	}
 	return ofdmSymbol(freq)
 }
 
-// htSigSymbol builds one HT-SIG QBPSK symbol (constellation rotated 90°).
-func (m *Modulator) htSigSymbol(val uint32, idx int) []complex128 {
-	freq := map[int]complex128{}
-	i := 0
-	for k := -26; k <= 26; k++ {
-		if k == 0 {
-			continue
-		}
-		switch k {
-		case -21, -7, 7, 21:
-			freq[k] = pilotValue(idx+1, k)
-			continue
-		}
-		bit := (val >> uint((i+idx*3)%24)) & 1
-		if bit == 1 {
-			freq[k] = 1i
-		} else {
-			freq[k] = -1i
-		}
-		i++
-	}
-	return ofdmSymbol(freq)
+// htSigSymbol builds HT-SIG symbol idx: QBPSK, the BPSK constellation
+// rotated 90°.
+func htSigSymbol(val uint32, idx int) []complex128 {
+	return sigSymbol(val, func(i int) int { return i + idx*3 }, idx+1, 1i, -1i)
 }
 
 // pilotPolarity is the full 127-element pilot polarity sequence of
@@ -393,7 +350,7 @@ func pilotValue(sym int, k int) complex128 {
 	return complex(pol*base, 0)
 }
 
-// appendDataSymbol maps one symbol's worth of (coded) bits onto the 52
+// appendDataSymbol maps one symbol's worth of bits onto the 52
 // data subcarriers plus pilots, synthesizes the 80-sample time-domain
 // symbol in the bins scratch (len FFTSize) and appends it to iq. It
 // replaces the former map-based dataSymbol: the bins are filled directly
@@ -451,40 +408,12 @@ func mapConstellation(mod Modulation, bits []byte) complex128 {
 			return 1
 		}
 		return complex(lvl(b(0), b(1))/math.Sqrt(10), lvl(b(2), b(3))/math.Sqrt(10))
-	case QAM64:
-		// Gray-coded 64-QAM, normalization 1/sqrt(42). Per axis the sign
-		// bit leads and the magnitude Gray code (m1, m0) maps
-		// 00→7, 01→5, 11→3, 10→1.
-		lvl := func(sign, m1, m0 float64) float64 {
-			var mag float64
-			switch {
-			case m1 < 0 && m0 < 0:
-				mag = 7
-			case m1 < 0 && m0 > 0:
-				mag = 5
-			case m1 > 0 && m0 > 0:
-				mag = 3
-			default:
-				mag = 1
-			}
-			if sign < 0 {
-				return -mag
-			}
-			return mag
-		}
-		return complex(lvl(b(0), b(1), b(2))/math.Sqrt(42), lvl(b(3), b(4), b(5))/math.Sqrt(42))
 	default:
 		return complex(b(0), 0)
 	}
 }
 
-// demapConstellation hard-slices a received point back to bits.
-func demapConstellation(mod Modulation, v complex128) []byte {
-	return appendDemap(nil, mod, v)
-}
-
-// appendDemap appends the hard-sliced bits of a received point to dst,
-// the allocation-free form of demapConstellation the demod loop uses.
+// appendDemap appends the hard-sliced bits of a received point to dst.
 func appendDemap(dst []byte, mod Modulation, v complex128) []byte {
 	bit := func(x float64) byte {
 		if x >= 0 {
@@ -508,26 +437,6 @@ func appendDemap(dst []byte, mod Modulation, v complex128) []byte {
 		h0, l0 := ax(real(v))
 		h1, l1 := ax(imag(v))
 		return append(dst, h0, l0, h1, l1)
-	case QAM64:
-		ax := func(x float64) (byte, byte, byte) {
-			x *= math.Sqrt(42)
-			sign := bit(x)
-			a := math.Abs(x)
-			var m1, m0 byte
-			switch {
-			case a >= 6: // 7: (0,0)
-			case a >= 4: // 5: (0,1)
-				m0 = 1
-			case a >= 2: // 3: (1,1)
-				m1, m0 = 1, 1
-			default: // 1: (1,0)
-				m1 = 1
-			}
-			return sign, m1, m0
-		}
-		s0, a1, a0 := ax(real(v))
-		s1, b1, b0 := ax(imag(v))
-		return append(dst, s0, a1, a0, s1, b1, b0)
 	default:
 		return append(dst, bit(real(v)))
 	}
@@ -535,7 +444,7 @@ func appendDemap(dst []byte, mod Modulation, v complex128) []byte {
 
 // Demodulator recovers 802.11n data bits from a frame-aligned waveform.
 // It owns reusable FFT and channel-estimate scratch, so a steady-state
-// uncoded Demodulate performs zero heap allocations; it is not safe for
+// Demodulate performs zero heap allocations; it is not safe for
 // concurrent use.
 type Demodulator struct {
 	cfg Config
@@ -544,7 +453,7 @@ type Demodulator struct {
 	bins  [FFTSize]complex128
 	chVal [FFTSize]complex128 // channel estimate by FFT bin
 	chOK  [FFTSize]bool
-	coded []byte
+	bits  []byte
 }
 
 // NewDemodulator returns a demodulator matching cfg.
@@ -557,67 +466,45 @@ func NewDemodulator(cfg Config) *Demodulator {
 var ErrShortWaveform = errors.New("ofdm: waveform shorter than frame")
 
 // Demodulate equalizes against the HT-LTF and hard-demaps every data
-// symbol, returning the information bits (Viterbi-decoded when the config
-// is coded). In the uncoded case the returned slice aliases demodulator
-// scratch and is valid until the next Demodulate call; callers that
-// retain it must copy.
+// symbol, returning the information bits. The returned slice aliases
+// demodulator scratch and is valid until the next Demodulate call;
+// callers that retain it must copy.
 func (d *Demodulator) Demodulate(w radio.Waveform, info *FrameInfo) ([]byte, error) {
 	obsDemodulated.Inc()
 	defer obsDemodulate.ObserveSince(time.Now())
-	if info.PreambleEnd > len(w.IQ) {
-		return nil, ErrShortWaveform
+	if err := d.estimateChannel(w, info); err != nil {
+		return nil, err
 	}
-	if n := info.NumSymbols(); n > 0 {
-		if info.SymbolStart[n-1]+SymbolSamples > len(w.IQ) {
-			return nil, ErrShortWaveform
-		}
+	n := info.NumSymbols() * len(dataSubcarriers) * d.cfg.Modulation.BitsPerSubcarrier()
+	if cap(d.bits) < n {
+		d.bits = make([]byte, 0, n)
 	}
-	d.estimateChannel(w, info)
-	eq := d.equalize
-
-	bpsc := d.cfg.Modulation.BitsPerSubcarrier()
-	if cap(d.coded) < info.NumSymbols()*len(dataSubcarriers)*bpsc {
-		d.coded = make([]byte, 0, info.NumSymbols()*len(dataSubcarriers)*bpsc)
-	}
-	coded := d.coded[:0]
+	bits := d.bits[:0]
 	for _, start := range info.SymbolStart {
 		bins := fftOfSymbolInto(d.bins[:], w.IQ[start:start+SymbolSamples])
 		for _, k := range dataSubcarriers {
-			coded = appendDemap(coded, d.cfg.Modulation, eq(k, bins[binIdx(k)]))
+			bits = appendDemap(bits, d.cfg.Modulation, d.equalize(k, bins[binIdx(k)]))
 		}
 	}
-	d.coded = coded
-	if !d.cfg.Coded {
-		if len(coded) > info.PayloadBits {
-			coded = coded[:info.PayloadBits]
-		}
-		d.coded = coded
-		return coded, nil
+	if len(bits) > info.PayloadBits {
+		bits = bits[:info.PayloadBits]
 	}
-	motherLen := 2 * (info.PayloadBits + ConvTail)
-	need := puncturedLen(motherLen, d.cfg.Rate)
-	if len(coded) > need {
-		coded = coded[:need]
-	}
-	mother := Depuncture(coded, d.cfg.Rate)
-	for len(mother) < motherLen {
-		mother = append(mother, Erasure)
-	}
-	if len(mother) > motherLen {
-		mother = mother[:motherLen]
-	}
-	decoded := ViterbiDecode(mother)
-	if len(decoded) > info.PayloadBits {
-		decoded = decoded[:info.PayloadBits]
-	}
-	return decoded, nil
+	d.bits = bits
+	return bits, nil
 }
 
-// estimateChannel fills the per-bin channel estimate from the HT-LTF
-// (the last 80 preamble samples), held in flat per-bin arrays instead of
-// a map. Shared by Demodulate and the JointDemodulator so both paths
-// equalize identically.
-func (d *Demodulator) estimateChannel(w radio.Waveform, info *FrameInfo) {
+// estimateChannel checks that w holds info's whole frame, then fills the
+// per-bin channel estimate from the HT-LTF (the last 80 preamble
+// samples), held in flat per-bin arrays instead of a map. Shared by
+// Demodulate and the JointDemodulator so both paths equalize
+// identically.
+func (d *Demodulator) estimateChannel(w radio.Waveform, info *FrameInfo) error {
+	if info.PreambleEnd > len(w.IQ) {
+		return ErrShortWaveform
+	}
+	if n := info.NumSymbols(); n > 0 && info.SymbolStart[n-1]+SymbolSamples > len(w.IQ) {
+		return ErrShortWaveform
+	}
 	ltfStart := info.PreambleEnd - SymbolSamples
 	est := fftOfSymbolInto(d.bins[:], w.IQ[ltfStart:ltfStart+SymbolSamples])
 	for i := range d.chOK {
@@ -630,6 +517,7 @@ func (d *Demodulator) estimateChannel(w radio.Waveform, info *FrameInfo) {
 			d.chOK[idx] = true
 		}
 	}
+	return nil
 }
 
 // safeBin tolerates the out-of-band indices the fallback search can
@@ -656,19 +544,6 @@ func (d *Demodulator) equalize(k int, v complex128) complex128 {
 	return v / d.chVal[idx]
 }
 
-// puncturedLen counts the kept positions of a mother stream of length n
-// under the rate's puncture pattern.
-func puncturedLen(n int, r CodeRate) int {
-	pat := r.puncturePattern()
-	kept := 0
-	for i := 0; i < n; i++ {
-		if pat[i%len(pat)] {
-			kept++
-		}
-	}
-	return kept
-}
-
 // fftOfSymbolInto strips the guard interval and FFTs the 64-sample core
 // into bins, undoing the modulator's power normalization; bins must have
 // FFTSize capacity and is returned filled.
@@ -682,11 +557,4 @@ func fftOfSymbolInto(bins []complex128, sym []complex128) []complex128 {
 	occ := 56.0
 	dsp.Scale(bins, complex(math.Sqrt(occ)/FFTSize, 0))
 	return bins
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -5,78 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"multiscatter/internal/channel"
 	"multiscatter/internal/radio"
 )
-
-func TestConvEncodeKnownLength(t *testing.T) {
-	bits := []byte{1, 0, 1}
-	coded := ConvEncode(bits)
-	if len(coded) != 2*(3+ConvTail) {
-		t.Fatalf("coded length = %d", len(coded))
-	}
-}
-
-func TestConvRoundTripClean(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		n := 10 + rng.Intn(200)
-		bits := make([]byte, n)
-		for i := range bits {
-			bits[i] = byte(rng.Intn(2))
-		}
-		got := ViterbiDecode(ConvEncode(bits))
-		if !bytes.Equal(got, bits) {
-			t.Fatalf("trial %d: clean Viterbi round trip failed", trial)
-		}
-	}
-}
-
-func TestConvCorrectsErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	bits := make([]byte, 100)
-	for i := range bits {
-		bits[i] = byte(rng.Intn(2))
-	}
-	coded := ConvEncode(bits)
-	// Flip scattered single bits: the K=7 code (free distance 10)
-	// corrects isolated errors comfortably.
-	for _, pos := range []int{3, 40, 77, 120, 160, 199} {
-		coded[pos] ^= 1
-	}
-	got := ViterbiDecode(coded)
-	if !bytes.Equal(got, bits) {
-		t.Fatalf("Viterbi failed to correct scattered errors: BER %v",
-			radio.BitErrorRate(got, bits))
-	}
-}
-
-func TestConvDecodeDegenerate(t *testing.T) {
-	if got := ViterbiDecode(nil); got != nil {
-		t.Fatal("nil input should decode to nil")
-	}
-	if got := ViterbiDecode(make([]byte, 2*ConvTail)); got != nil {
-		t.Fatal("tail-only input should decode to nil")
-	}
-}
-
-func TestPropertyConvRoundTrip(t *testing.T) {
-	f := func(data []byte) bool {
-		if len(data) > 32 {
-			data = data[:32]
-		}
-		bits := radio.BytesToBits(data)
-		if len(bits) == 0 {
-			return true
-		}
-		return bytes.Equal(ViterbiDecode(ConvEncode(bits)), bits)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestDataSubcarrierLayout(t *testing.T) {
 	if DataSubcarriers() != 52 {
@@ -103,21 +35,18 @@ func roundTrip(t *testing.T, cfg Config, payload []byte) {
 	w, info := mod.Modulate(radio.Packet{Protocol: radio.Protocol80211n, Payload: payload})
 	got, err := NewDemodulator(cfg).Demodulate(w, info)
 	if err != nil {
-		t.Fatalf("%v coded=%v: %v", cfg.Modulation, cfg.Coded, err)
+		t.Fatalf("%v: %v", cfg.Modulation, err)
 	}
 	want := radio.BytesToBits(payload)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("%v coded=%v: BER %v", cfg.Modulation, cfg.Coded,
-			radio.BitErrorRate(got, want))
+		t.Fatalf("%v: BER %v", cfg.Modulation, radio.BitErrorRate(got, want))
 	}
 }
 
 func TestRoundTripAllModulations(t *testing.T) {
 	payload := []byte("an 802.11n OFDM frame for multiscatter")
 	for _, m := range []Modulation{BPSK, QPSK, QAM16} {
-		for _, coded := range []bool{false, true} {
-			roundTrip(t, Config{Modulation: m, Coded: coded}, payload)
-		}
+		roundTrip(t, Config{Modulation: m}, payload)
 	}
 }
 
@@ -141,7 +70,7 @@ func TestRoundTripWithChannelGain(t *testing.T) {
 }
 
 func TestRoundTripWithNoise(t *testing.T) {
-	cfg := Config{Modulation: BPSK, Coded: true}
+	cfg := Config{Modulation: BPSK}
 	mod := NewModulator(cfg)
 	payload := make([]byte, 40)
 	rng := rand.New(rand.NewSource(7))
@@ -157,7 +86,7 @@ func TestRoundTripWithNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ber := radio.BitErrorRate(got, radio.BytesToBits(payload)); ber != 0 {
-		t.Fatalf("coded BPSK at high SNR should be error-free, BER %v", ber)
+		t.Fatalf("BPSK at high SNR should be error-free, BER %v", ber)
 	}
 }
 
@@ -241,14 +170,6 @@ func TestModulationMeta(t *testing.T) {
 			t.Fatal("empty String()")
 		}
 	}
-	// Uncoded BPSK: 52 bits / 4 µs = 13 Mbps.
-	if got := (Config{Modulation: BPSK}).BitRate(); math.Abs(got-13e6) > 1 {
-		t.Fatalf("BitRate = %v", got)
-	}
-	// Coded (MCS0-like): 6.5 Mbps.
-	if got := (Config{Modulation: BPSK, Coded: true}).BitRate(); math.Abs(got-6.5e6) > 1 {
-		t.Fatalf("coded BitRate = %v", got)
-	}
 }
 
 func TestDemodulateShortWaveform(t *testing.T) {
@@ -270,7 +191,7 @@ func TestConstellationRoundTrip(t *testing.T) {
 				bits[i] = byte((v >> uint(i)) & 1)
 			}
 			pt := mapConstellation(m, bits)
-			got := demapConstellation(m, pt)
+			got := appendDemap(nil, m, pt)
 			if !bytes.Equal(got, bits) {
 				t.Fatalf("%v: bits %v -> %v -> %v", m, bits, pt, got)
 			}
@@ -300,8 +221,8 @@ func TestConstellationUnitPower(t *testing.T) {
 
 func TestRoundTripMultipath(t *testing.T) {
 	// The HT-LTF equalizer must cope with a frequency-selective indoor
-	// channel (50 ns RMS delay spread), coded BPSK.
-	cfg := Config{Modulation: BPSK, Coded: true}
+	// channel (50 ns RMS delay spread), BPSK.
+	cfg := Config{Modulation: BPSK}
 	mod := NewModulator(cfg)
 	payload := make([]byte, 30)
 	for i := range payload {
@@ -319,6 +240,6 @@ func TestRoundTripMultipath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ber := radio.BitErrorRate(got, radio.BytesToBits(payload)); ber > 0 {
-		t.Fatalf("multipath BER = %v, want 0 with equalization + coding", ber)
+		t.Fatalf("multipath BER = %v, want 0 with equalization", ber)
 	}
 }

@@ -623,16 +623,6 @@ func (m *Manager) finishedLocked(job *Job, state State) {
 	}
 }
 
-// Cancel cancels the identified job.
-func (m *Manager) Cancel(id string) error {
-	j, ok := m.Get(id)
-	if !ok {
-		return ErrNotFound
-	}
-	j.Cancel()
-	return nil
-}
-
 // MergedJobMetrics returns the accumulated merge of every finished
 // job's per-job obs snapshot — fleet-engine counters summed across the
 // service's lifetime.
@@ -640,13 +630,6 @@ func (m *Manager) MergedJobMetrics() obs.Snapshot {
 	m.mergedMu.Lock()
 	defer m.mergedMu.Unlock()
 	return m.merged
-}
-
-// Draining reports whether the manager has stopped admitting jobs.
-func (m *Manager) Draining() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.draining
 }
 
 // Registry returns the manager's own metrics registry (serve.*

@@ -255,9 +255,11 @@ func TestResultReuse(t *testing.T) {
 				t.Fatal(err)
 			}
 			j.Cancel()
-			if err := m.Cancel(j.ID); err != nil {
-				t.Fatal(err)
+			got, ok := m.Get(j.ID)
+			if !ok {
+				t.Fatalf("%s not found", j.ID)
 			}
+			got.Cancel()
 			requireReused(t, j, src)
 			if h := m.Health(); h.JobsCancelled != 0 || h.JobsDone != 2 {
 				t.Fatalf("health after cancelling a reused job: %+v", h)
@@ -552,9 +554,6 @@ func TestRetentionEvictsOldestFinished(t *testing.T) {
 	}
 	if _, ok := m.Get(a.ID); ok {
 		t.Fatalf("%s still retained", a.ID)
-	}
-	if err := m.Cancel(a.ID); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("cancel evicted job: %v, want ErrNotFound", err)
 	}
 	d, _ := m.Submit(smallJob(1))
 	requireReused(t, d, a) // the entry moved on with the newest job

@@ -219,9 +219,11 @@ func TestCancelRunning(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := m.Cancel(job.ID); err != nil {
-		t.Fatal(err)
+	got, ok := m.Get(job.ID)
+	if !ok {
+		t.Fatalf("%s not found", job.ID)
 	}
+	got.Cancel()
 	close(gate)
 	waitDone(t, job)
 	if job.State() != StateCancelled {
@@ -230,8 +232,8 @@ func TestCancelRunning(t *testing.T) {
 	if !strings.Contains(job.Err(), "context canceled") {
 		t.Fatalf("err %q does not name the cancellation", job.Err())
 	}
-	if err := m.Cancel("job-none"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("want ErrNotFound, got %v", err)
+	if _, ok := m.Get("job-none"); ok {
+		t.Fatal("job-none found")
 	}
 	m.Close()
 }
@@ -288,8 +290,8 @@ func TestDrain(t *testing.T) {
 			t.Fatalf("%s after drain: state %s, err %q", j.ID, j.State(), j.Err())
 		}
 	}
-	if !m.Draining() {
-		t.Fatal("Draining() false after Drain")
+	if !m.Health().Draining {
+		t.Fatal("Health().Draining false after Drain")
 	}
 	if _, err := m.Submit(smallJob(9)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("want ErrDraining, got %v", err)

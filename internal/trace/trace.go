@@ -13,8 +13,11 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
+	"slices"
+	"sync"
 
 	"multiscatter/internal/channel"
 	"multiscatter/internal/radio"
@@ -62,11 +65,48 @@ type CollectOptions struct {
 	Seed int64
 }
 
+// maxADCRate is the fastest preamble waveform's sample rate, the
+// highest rate a set may be acquired at.
+var maxADCRate = sync.OnceValue(func() float64 {
+	var fastest float64
+	for _, p := range radio.Protocols {
+		w, _ := tag.PreambleWaveform(p) // errs only outside radio.Protocols
+		fastest = max(fastest, w.Rate)
+	}
+	return fastest
+})
+
+// check reports the first reason s cannot be evaluated: an ADC rate
+// that is not finite, not positive or above maxADCRate, a window other
+// than the two matching windows, or a trace of an unknown protocol.
+func (s *Set) check() error {
+	if !(s.ADCRate > 0 && s.ADCRate <= maxADCRate()) {
+		return fmt.Errorf("trace: ADC rate %v outside (0, %v] samples/s", s.ADCRate, maxADCRate())
+	}
+	if s.WindowUS != tag.BaseWindowUS && s.WindowUS != tag.ExtendedWindowUS {
+		return fmt.Errorf("trace: window %v µs is neither %v nor %v", s.WindowUS, tag.BaseWindowUS, tag.ExtendedWindowUS)
+	}
+	for i, tr := range s.Traces {
+		if !slices.Contains(radio.Protocols, tr.Protocol) {
+			return fmt.Errorf("trace: trace %d has unknown protocol %v", i, tr.Protocol)
+		}
+	}
+	return nil
+}
+
 // Collect generates a labelled trace set through the default acquisition
 // front end.
 func Collect(o CollectOptions) (*Set, error) {
-	if o.ADCRate <= 0 {
-		return nil, fmt.Errorf("trace: ADC rate %v invalid", o.ADCRate)
+	window := tag.BaseWindowUS
+	if o.Extended {
+		window = tag.ExtendedWindowUS
+	}
+	set := &Set{ADCRate: o.ADCRate, WindowUS: window, Seed: o.Seed}
+	if err := set.check(); err != nil {
+		return nil, err
+	}
+	if lo, hi := o.SNRLoDB, o.SNRHiDB; math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+		return nil, fmt.Errorf("trace: SNR bounds %v, %v dB are not finite", lo, hi)
 	}
 	if o.PerProtocol <= 0 {
 		o.PerProtocol = 50
@@ -80,11 +120,6 @@ func Collect(o CollectOptions) (*Set, error) {
 	if o.ADCNoiseLSB > 0 {
 		fe.ADC.NoiseLSB = o.ADCNoiseLSB
 	}
-	window := tag.BaseWindowUS
-	if o.Extended {
-		window = tag.ExtendedWindowUS
-	}
-	set := &Set{ADCRate: o.ADCRate, WindowUS: window, Seed: o.Seed}
 	for _, p := range radio.Protocols {
 		w, err := tag.PreambleWaveform(p)
 		if err != nil {
@@ -151,6 +186,9 @@ func Load(r io.Reader) (*Set, error) {
 	var s Set
 	if err := gob.NewDecoder(zr).Decode(&s); err != nil {
 		return nil, fmt.Errorf("trace: decode: %w", err)
+	}
+	if err := s.check(); err != nil {
+		return nil, err
 	}
 	return &s, nil
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -45,8 +46,51 @@ func TestCollect(t *testing.T) {
 }
 
 func TestCollectValidation(t *testing.T) {
-	if _, err := Collect(CollectOptions{}); err == nil {
-		t.Fatal("zero ADC rate accepted")
+	// The ADC rate bound is the fastest preamble waveform: 802.11b's
+	// 22 Msps.
+	if got := maxADCRate(); got != 22e6 {
+		t.Fatalf("maximum ADC rate %v, want 22e6", got)
+	}
+	if _, err := Collect(CollectOptions{ADCRate: 22e6, PerProtocol: 1}); err != nil {
+		t.Fatalf("22 Msps rejected: %v", err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, o := range map[string]CollectOptions{
+		"zero rate":      {},
+		"negative rate":  {ADCRate: -1e6},
+		"NaN rate":       {ADCRate: nan},
+		"+Inf rate":      {ADCRate: inf},
+		"1e15 samples/s": {ADCRate: 1e15},
+		"NaN SNR low":    {ADCRate: 2.5e6, SNRLoDB: nan},
+		"+Inf SNR high":  {ADCRate: 2.5e6, SNRHiDB: inf},
+		"-Inf SNR low":   {ADCRate: 2.5e6, SNRLoDB: -inf},
+	} {
+		if _, err := Collect(o); err == nil {
+			t.Errorf("%s: Collect accepted %+v", name, o)
+		}
+	}
+	// Load checks a saved set the same way.
+	for name, edit := range map[string]func(*Set){
+		"NaN rate":         func(s *Set) { s.ADCRate = nan },
+		"zero rate":        func(s *Set) { s.ADCRate = 0 },
+		"negative rate":    func(s *Set) { s.ADCRate = -1 },
+		"+Inf rate":        func(s *Set) { s.ADCRate = inf },
+		"23 Msps":          func(s *Set) { s.ADCRate = 23e6 },
+		"12 µs window":     func(s *Set) { s.WindowUS = 12 },
+		"unknown protocol": func(s *Set) { s.Traces[3].Protocol = 99 },
+	} {
+		s, err := Collect(CollectOptions{ADCRate: 2.5e6, PerProtocol: 1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(s)
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Errorf("%s: Load accepted the set", name)
+		}
 	}
 }
 
